@@ -3,8 +3,8 @@
 The reference is a Crank-Nicolson P1 run on a fine structured grid, stored
 as full nodal slices (boundary rows exactly zero). Cache files use the
 "WBEN" format: magic, u32 version, u32 {nx, ny, Nt}, f64 {L1, L2, c, T, dt},
-the value array time-major then y-major then x, and a trailing 64-bit
-FNV-1a checksum of all preceding bytes. Generation streams slice by slice,
+the value array time-major then y-major then x, and a trailing 8-byte
+BLAKE2b digest of all preceding bytes. Generation streams slice by slice,
 so the peak memory stays at one spatial slice; loading memory-maps.
 """
 
@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,39 +29,17 @@ __all__ = [
     "generate_reference",
     "write_reference",
     "load_reference",
-    "fnv1a64",
 ]
 
 MAGIC = b"WBEN"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sIIII5d")       # magic, ver, nx, ny, Nt, 5 doubles
-
-_FNV_OFFSET = np.uint64(14695981039346656037)
-_FNV_PRIME = np.uint64(1099511628211)
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _fnv1a_update(h, buf):
-        for i in range(buf.size):
-            h = (h ^ np.uint64(buf[i])) * _FNV_PRIME
-        return h
-except ImportError:     # pragma: no cover - numba is a declared dependency
-    def _fnv1a_update(h, buf):
-        p = int(_FNV_PRIME)
-        h = int(h)
-        for b in buf.tobytes():
-            h = ((h ^ b) * p) & 0xFFFFFFFFFFFFFFFF
-        return np.uint64(h)
+_CHUNK = 1 << 24                           # bytes hashed per memmap slice
 
 
-def fnv1a64(data: bytes, h=_FNV_OFFSET) -> np.uint64:
-    """64-bit FNV-1a hash; `h` allows incremental chaining."""
-    # the jitted update hands back a plain int, which the next dispatch
-    # would reject for values above 2^63 - 1; keep the state a uint64
-    h = np.uint64(int(h) & 0xFFFFFFFFFFFFFFFF)
-    return _fnv1a_update(h, np.frombuffer(data, dtype=np.uint8))
+def _digest():
+    """Streaming checksum of a WBEN file; its 8-byte digest is the trailer."""
+    return hashlib.blake2b(digest_size=8)
 
 
 class CacheError(RuntimeError):
@@ -111,16 +90,24 @@ def write_reference(ref: ReferenceSolution, path) -> None:
 
 def _stream_write(path: Path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices):
     header = _header_bytes(ref_nx, ref_ny, Nt_ref, problem, dt_ref)
-    tmp = path.with_name(path.name + ".tmp")
-    h = fnv1a64(header)
-    with open(tmp, "wb") as f:
-        f.write(header)
-        for sl in slices:
-            data = np.ascontiguousarray(sl, dtype="<f8").tobytes()
-            h = fnv1a64(data, h)
-            f.write(data)
-        f.write(struct.pack("<Q", int(h)))
-    os.replace(tmp, path)
+    h = _digest()
+    h.update(header)
+    # a private temp file per writer, so concurrent writers never share one
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name,
+                               suffix=".tmp")
+    try:
+        os.chmod(tmp, 0o644)        # mkstemp makes 0600; caches are shared
+        with os.fdopen(fd, "wb") as f:
+            f.write(header)
+            for sl in slices:
+                data = np.ascontiguousarray(sl, dtype="<f8")
+                h.update(data)
+                f.write(data)
+            f.write(h.digest())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_reference(path, problem: WaveProblem) -> ReferenceSolution:
@@ -139,13 +126,11 @@ def load_reference(path, problem: WaveProblem) -> ReferenceSolution:
     expect = _HEADER.size + 8 * n_vals + 8
     if raw.size != expect:
         raise CacheError(f"{path}: size {raw.size}, expected {expect}")
-    h = _FNV_OFFSET
+    h = _digest()
     body_end = raw.size - 8
-    for start in range(0, body_end, 1 << 24):
-        chunk = raw[start:min(start + (1 << 24), body_end)]
-        h = _fnv1a_update(np.uint64(int(h) & 0xFFFFFFFFFFFFFFFF), chunk)
-    (stored,) = struct.unpack("<Q", bytes(raw[body_end:]))
-    if int(h) != stored:
+    for start in range(0, body_end, _CHUNK):
+        h.update(raw[start:min(start + _CHUNK, body_end)])
+    if h.digest() != bytes(raw[body_end:]):
         raise CacheError(f"{path}: checksum mismatch")
     for name, a, b in (("L1", L1, problem.L1), ("L2", L2, problem.L2),
                        ("c", c, problem.c), ("T", T, problem.T)):
@@ -160,9 +145,10 @@ def load_reference(path, problem: WaveProblem) -> ReferenceSolution:
 def cache_filename(problem: WaveProblem, ref_nx: int, ref_ny: int,
                    Nt_ref: int) -> str:
     """Deterministic cache name from the full problem fingerprint."""
-    fp = json.dumps({"ic": problem.ic, "params": problem.ic_params,
-                     "L1": problem.L1, "L2": problem.L2, "c": problem.c,
-                     "T": problem.T}, sort_keys=True)
+    fp = json.dumps({"version": VERSION, "ic": problem.ic,
+                     "params": problem.ic_params, "L1": problem.L1,
+                     "L2": problem.L2, "c": problem.c, "T": problem.T},
+                    sort_keys=True)
     tag = hashlib.sha1(fp.encode()).hexdigest()[:10]
     return f"ref_{problem.ic}_{ref_nx}x{ref_ny}_nt{Nt_ref}_{tag}.wben"
 
@@ -173,13 +159,18 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
 
     With `cache_dir` set, an existing valid cache file is loaded instead of
     recomputing; corrupt files are regenerated. The solve streams each time
-    level straight to disk.
+    level straight to disk. A custom initial condition has no fingerprint
+    for the cache name, so it requires `cache_dir=None`.
     """
     if dt_ref <= 0:
         raise ValueError("reference time step must be positive")
     Nt_ref = int(round(problem.T / dt_ref))
     if abs(Nt_ref * dt_ref - problem.T) > 1e-9 * problem.T or Nt_ref < 1:
         raise ValueError("dt_ref must divide the horizon evenly")
+
+    if cache_dir is not None and problem.ic == "custom":
+        raise ValueError("custom initial conditions cannot be cached; "
+                         "pass cache_dir=None")
 
     path = None
     if cache_dir is not None:

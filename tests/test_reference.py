@@ -1,27 +1,17 @@
 """Reference generation and the binary cache format."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from wavebench import reference
 from wavebench.problem import WaveProblem
 from wavebench.reference import (MAGIC, VERSION, CacheError, ReferenceSolution,
-                                 fnv1a64, generate_reference, write_reference,
-                                 load_reference, cache_filename)
-
-
-def test_fnv1a64_test_vectors():
-    # standard 64-bit FNV-1a vectors
-    assert int(fnv1a64(b"")) == 14695981039346656037
-    assert int(fnv1a64(b"a")) == 0xAF63DC4C8601EC8C
-    assert int(fnv1a64(b"foobar")) == 0x85944171F73967E8
-
-
-def test_fnv1a64_chaining():
-    whole = fnv1a64(b"hello world")
-    part = fnv1a64(b" world", fnv1a64(b"hello"))
-    assert int(whole) == int(part)
+                                 generate_reference, write_reference,
+                                 load_reference, cache_filename,
+                                 _stream_write)
 
 
 def _small_ref(ic="polynomial", nx=6, dt=1.0 / 12):
@@ -61,7 +51,7 @@ def test_header_layout(tmp_path):
     raw = path.read_bytes()
     magic, ver, nx, ny, Nt = struct.unpack_from("<4sIIII", raw)
     assert magic == MAGIC == b"WBEN"
-    assert ver == VERSION == 1
+    assert ver == VERSION == 2
     assert (nx, ny, Nt) == (6, 6, 12)
     L1, L2, c, T, dt = struct.unpack_from("<5d", raw, 20)
     assert (L1, L2, c, T) == (1.0, 1.0, 1.0, 1.0)
@@ -73,7 +63,8 @@ def test_header_layout(tmp_path):
     np.testing.assert_array_equal(vals.reshape(13, 7, 7), ref.values)
     # trailing checksum covers everything before it
     (stored,) = struct.unpack_from("<Q", raw, len(raw) - 8)
-    assert stored == int(fnv1a64(raw[:-8]))
+    digest = hashlib.blake2b(raw[:-8], digest_size=8).digest()
+    assert stored == struct.unpack("<Q", digest)[0]
 
 
 def test_roundtrip(tmp_path):
@@ -117,6 +108,49 @@ def test_bad_magic_detected(tmp_path):
         load_reference(path, prob)
 
 
+def test_old_version_rejected_and_regenerated(tmp_path):
+    prob = WaveProblem(ic="polynomial")
+    ref = generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.wben"))
+    good = path.read_bytes()
+    raw = bytearray(good)
+    struct.pack_into("<I", raw, 4, 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CacheError, match="version"):
+        load_reference(path, prob)
+    again = generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    np.testing.assert_array_equal(np.asarray(again.values),
+                                  np.asarray(ref.values))
+    assert path.read_bytes() == good
+    assert struct.unpack_from("<I", good, 4) == (VERSION,)
+
+
+def test_write_leaves_other_temp_files_alone(tmp_path):
+    prob, ref = _small_ref()
+    path = tmp_path / "ref.wben"
+    other = tmp_path / "ref.wben.tmp"
+    other.write_bytes(b"another writer's bytes")
+    write_reference(ref, path)
+    assert other.read_bytes() == b"another writer's bytes"
+    np.testing.assert_array_equal(np.asarray(load_reference(path, prob).values),
+                                  ref.values)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ref.wben",
+                                                          "ref.wben.tmp"]
+
+
+def test_failed_write_removes_its_temp_file(tmp_path):
+    prob, ref = _small_ref()
+
+    def slices():
+        yield ref.values[0]
+        raise RuntimeError("solver failed")
+
+    with pytest.raises(RuntimeError, match="solver failed"):
+        _stream_write(tmp_path / "ref.wben", 6, 6, 12, prob, ref.dt_ref,
+                      slices())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_metadata_mismatch_detected(tmp_path):
     prob, ref = _small_ref()
     path = tmp_path / "ref.wben"
@@ -153,6 +187,33 @@ def test_cache_filename_fingerprint():
     assert name_a != name_b
     assert name_a.startswith("ref_polynomial_100x100_nt200_")
     assert name_a == cache_filename(WaveProblem(ic="polynomial"), 100, 100, 200)
+
+
+def test_cache_filename_tracks_format_version(monkeypatch):
+    prob = WaveProblem(ic="polynomial")
+    name = cache_filename(prob, 100, 100, 200)
+    monkeypatch.setattr(reference, "VERSION", VERSION + 1)
+    other = cache_filename(prob, 100, 100, 200)
+    assert other != name
+    assert other.startswith("ref_polynomial_100x100_nt200_")
+
+
+def test_custom_ic_rejected_with_cache_dir(tmp_path, monkeypatch):
+    prob = WaveProblem(ic="custom", ic_params={"fn": lambda x, y: x * y})
+    # the check must come before any mesh is built
+    monkeypatch.setattr(reference, "build_structured_mesh", None)
+    with pytest.raises(ValueError, match="custom initial conditions cannot "
+                                         "be cached; pass cache_dir=None"):
+        generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_custom_ic_without_cache():
+    fn = lambda x, y: x * (1 - x) * y * (1 - y)     # noqa: E731
+    custom = WaveProblem(ic="custom", ic_params={"fn": fn})
+    ref = generate_reference(custom, 6, 6, 1.0 / 12, cache_dir=None)
+    _, poly = _small_ref()
+    np.testing.assert_array_equal(ref.values, poly.values)
 
 
 def test_generation_deterministic(tmp_path):
