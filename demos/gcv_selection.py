@@ -2,8 +2,8 @@
 
 The surrogate's coefficients come from a ridge regression of the sampled
 initial condition onto the sine basis; generalized cross-validation
-scores every candidate ridge parameter from one SVD of the design
-matrix. This script prints a slice of the GCV curve around the winning
+scores every candidate ridge parameter from one factorization of the
+design matrix. This script prints a slice of the GCV curve around the winning
 lambda and the resulting effective degrees of freedom.
 
 Run:  python3 demos/gcv_selection.py

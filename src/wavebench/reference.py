@@ -113,9 +113,9 @@ def _stream_write(path: Path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices):
 def load_reference(path, problem: WaveProblem) -> ReferenceSolution:
     """Memory-map a WBEN file, verifying magic, version and checksum."""
     path = Path(path)
-    raw = np.memmap(path, dtype=np.uint8, mode="r")
-    if raw.size < _HEADER.size + 8:
+    if path.stat().st_size < _HEADER.size + 8:   # np.memmap rejects 0 bytes
         raise CacheError(f"{path}: truncated cache file")
+    raw = np.memmap(path, dtype=np.uint8, mode="r")
     magic, ver, nx, ny, Nt, L1, L2, c, T, dt = _HEADER.unpack(
         bytes(raw[:_HEADER.size]))
     if magic != MAGIC:
@@ -153,6 +153,17 @@ def cache_filename(problem: WaveProblem, ref_nx: int, ref_ny: int,
     return f"ref_{problem.ic}_{ref_nx}x{ref_ny}_nt{Nt_ref}_{tag}.wben"
 
 
+def step_count(T: float, dt_ref: float) -> int:
+    """Number of reference steps over [0, T]; dt_ref must divide T."""
+    if dt_ref <= 0:
+        raise ValueError("reference time step must be positive")
+    Nt_ref = int(round(T / dt_ref))
+    if abs(Nt_ref * dt_ref - T) > 1e-9 * T or Nt_ref < 1:
+        raise ValueError(f"dt_ref={dt_ref} must divide the horizon T={T} "
+                         "evenly")
+    return Nt_ref
+
+
 def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
                        dt_ref: float, cache_dir=None) -> ReferenceSolution:
     """Run the fine-grid solver, caching the result on disk.
@@ -162,11 +173,7 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
     level straight to disk. A custom initial condition has no fingerprint
     for the cache name, so it requires `cache_dir=None`.
     """
-    if dt_ref <= 0:
-        raise ValueError("reference time step must be positive")
-    Nt_ref = int(round(problem.T / dt_ref))
-    if abs(Nt_ref * dt_ref - problem.T) > 1e-9 * problem.T or Nt_ref < 1:
-        raise ValueError("dt_ref must divide the horizon evenly")
+    Nt_ref = step_count(problem.T, dt_ref)
 
     if cache_dir is not None and problem.ic == "custom":
         raise ValueError("custom initial conditions cannot be cached; "

@@ -61,6 +61,10 @@ class ExperimentConfig:
         if self.dt_ref >= min(self.L1 / self.ref_nx, self.L2 / self.ref_ny):
             raise ValueError("dt_ref must be smaller than the reference grid "
                              "spacing")
+        reference.step_count(self.T, self.dt_ref)
+        bad = [t for t in self.snapshot_times if not 0.0 <= t <= self.T]
+        if bad:
+            raise ValueError(f"snapshot_times {bad} outside [0, T={self.T}]")
         if self.Nt_eval < 2 or self.Nt_eval % 2:
             raise ValueError("Nt_eval must be even and >= 2")
         if self.N < 1 or self.m < 1:

@@ -4,8 +4,10 @@ Each basis function sin(j pi x / L1) sin(k pi y / L2) cos(w_{jk} t) with
 w_{jk} = c pi sqrt((j/L1)^2 + (k/L2)^2) satisfies the wave equation and the
 homogeneous Dirichlet condition exactly, so only the weights are fitted.
 Fitting samples the initial displacement on a Latin hypercube design and
-solves a ridge problem through one retained SVD; the ridge parameter is
-selected by generalized cross-validation.
+solves a ridge problem through one retained thin SVD of the design matrix
+Phi, taken from `eigh` of the Gram matrix Phi^T Phi when Phi is well
+conditioned (the LHS sine design is nearly orthogonal) and directly
+otherwise; the ridge parameter is selected by generalized cross-validation.
 
 Weight / column order: (j, k) lexicographic with j outer, i.e. column
 (j-1)*N + (k-1) holds mode (j, k).
@@ -36,6 +38,12 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Largest eigenvalue ratio of Phi^T Phi accepted from the Gram route, i.e.
+# cond(Phi) <= 1e3. Forming the Gram matrix squares the condition number,
+# so its smallest eigenvalues carry a relative error of about
+# ratio * machine epsilon (2e-10 here); worse designs take the direct SVD.
+_GRAM_MAX_EV_RATIO = 1e6
 
 
 def _sine_table(coords, N: int, L: float) -> np.ndarray:
@@ -116,7 +124,7 @@ def build_design_matrix(points: np.ndarray, basis: SpectralBasis) -> DesignMatri
 
 @dataclass(frozen=True)
 class RidgeSVD:
-    """Retained thin SVD of the design matrix, reused across ridge solves."""
+    """Thin SVD Phi = U diag(s) Vt (s descending), reused across solves."""
 
     U: np.ndarray
     s: np.ndarray
@@ -138,11 +146,32 @@ class RidgeSVD:
         return float(np.sum(self.s**2 / (self.s**2 + lam)))
 
 
-def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray, lam: float):
-    """Solve the ridge problem through a thin SVD.
+def _thin_svd(A: np.ndarray):
+    """Thin SVD of A, via eigh(A^T A) when A is tall and well conditioned.
 
-    Returns (weights, handle); the handle retains the factorization so that
-    GCV evaluation over many ridge parameters costs O(rank) each.
+    A^T A = V diag(s^2) V^T gives s and V, and U = A V / s. A wide design,
+    a non-positive eigenvalue or a ratio above `_GRAM_MAX_EV_RATIO` takes
+    `np.linalg.svd` instead.
+    """
+    m, n = A.shape
+    if m >= n:
+        ev, V = np.linalg.eigh(A.T @ A)            # ascending
+        if ev[0] > 0 and ev[-1] <= _GRAM_MAX_EV_RATIO * ev[0]:
+            s = np.sqrt(ev[::-1])
+            V = V[:, ::-1]
+            U = A @ V
+            U /= s
+            return U, s, V.T
+    return np.linalg.svd(A, full_matrices=False)
+
+
+def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray, lam: float):
+    """Solve the ridge problem through a thin SVD of the design.
+
+    The SVD comes from `eigh` of the Gram matrix Phi^T Phi when cond(Phi)
+    is at most 1e3, else from `np.linalg.svd`. Returns (weights, handle);
+    the handle retains the factorization so that GCV evaluation over many
+    ridge parameters costs O(rank) each.
     """
     A = Phi.values if isinstance(Phi, DesignMatrix) else np.asarray(Phi, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -152,7 +181,7 @@ def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray, lam: float):
         raise ValueError("non-finite entries in the ridge system")
     if u.shape != (A.shape[0],):
         raise ValueError("observation vector length does not match the design")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, Vt = _thin_svd(A)
     if lam == 0.0:
         tol = max(A.shape) * np.finfo(float).eps * s[0]
         if s[-1] <= tol:
@@ -301,7 +330,7 @@ def predict(model: SpectralModel, x, y, t: float):
     sx = _sine_table(x, b.N, b.L1)
     sy = _sine_table(y, b.N, b.L2)
     Wt = model.weights.reshape(b.N, b.N) * np.cos(b.omegas * t)
-    out = np.einsum("pj,jk,pk->p", sx, Wt, sy)
+    out = np.einsum("pk,pk->p", sx @ Wt, sy)
     return float(out[0]) if scalar else out
 
 

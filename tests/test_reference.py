@@ -97,6 +97,24 @@ def test_truncation_detected(tmp_path):
         load_reference(path, prob)
 
 
+def test_empty_file_detected(tmp_path):
+    prob = WaveProblem(ic="polynomial")
+    path = tmp_path / "ref.wben"
+    path.write_bytes(b"")
+    with pytest.raises(CacheError, match="truncated"):
+        load_reference(path, prob)
+
+
+def test_empty_cache_file_regenerated(tmp_path):
+    prob, ref = _small_ref()
+    path = tmp_path / cache_filename(prob, 6, 6, 12)
+    path.write_bytes(b"")
+    again = generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    np.testing.assert_array_equal(np.asarray(again.values),
+                                  np.asarray(ref.values))
+    assert load_reference(path, prob).Nt_ref == 12
+
+
 def test_bad_magic_detected(tmp_path):
     prob, ref = _small_ref()
     path = tmp_path / "ref.wben"

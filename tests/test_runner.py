@@ -50,6 +50,22 @@ def test_config_validation():
         ExperimentConfig(N=0)
 
 
+def test_config_rejects_snapshot_times_outside_horizon():
+    with pytest.raises(ValueError, match="snapshot_times"):
+        ExperimentConfig(snapshot_times=[0.0, 1.5])
+    with pytest.raises(ValueError, match="snapshot_times"):
+        ExperimentConfig(T=0.5)              # default times run to 1.0
+    ExperimentConfig(T=0.5, snapshot_times=[0.0, 0.5])
+
+
+def test_config_rejects_dt_ref_not_dividing_horizon():
+    with pytest.raises(ValueError, match="dt_ref.*divide"):
+        ExperimentConfig(ref_nx=100, ref_ny=100, dt_ref=0.003)
+    with pytest.raises(ValueError, match="dt_ref.*divide"):
+        ExperimentConfig(T=0.9, ref_nx=100, ref_ny=100, dt_ref=0.007,
+                         snapshot_times=[0.0, 0.9])
+
+
 def test_config_default_dt_ref_and_paper_scale():
     config = ExperimentConfig(ref_nx=100, ref_ny=100)
     assert config.dt_ref == pytest.approx(1.0 / 200)

@@ -132,6 +132,61 @@ def test_ridge_validation():
         ridge_fit_svd(A_bad, np.ones(4), 1.0)
 
 
+def _svd_oracle(A, u, lam):
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    return s, Vt.T @ (s / (s**2 + lam) * (U.T @ u))
+
+
+def test_ridge_gram_route_matches_direct_svd(monkeypatch):
+    # the LHS sine design is well conditioned, so the fit takes the Gram
+    # route and never calls the direct SVD
+    pts = lhs_sample(300, 1.0, 1.0, seed=4)
+    A = build_design_matrix(pts, SpectralBasis(8)).values
+    u = WaveProblem(ic="polynomial").initial_condition()(pts[:, 0], pts[:, 1])
+    s_ref = np.linalg.svd(A, compute_uv=False)
+    oracles = {lam: _svd_oracle(A, u, lam)[1]
+               for lam in (1e-8, 1e-4, 1e-2, 1.0)}
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("well-conditioned design took the SVD route")
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    _, fit = ridge_fit_svd(A, u, 1.0)
+    np.testing.assert_allclose(fit.s, s_ref, rtol=1e-10)
+    for lam, w_ref in oracles.items():
+        w, _ = ridge_fit_svd(A, u, lam)
+        assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
+        edof_ref = np.sum(s_ref**2 / (s_ref**2 + lam))
+        assert effective_dof(fit, lam) == pytest.approx(edof_ref, rel=1e-10)
+        resid = u - A @ w_ref
+        gcv_ref = (resid @ resid) / (300 - edof_ref) ** 2
+        assert gcv_score(fit, u, lam) == pytest.approx(gcv_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["ill_conditioned", "wide"])
+def test_ridge_svd_fallback_matches_oracle(kind, monkeypatch):
+    rng = np.random.default_rng(21)
+    if kind == "ill_conditioned":
+        pts = lhs_sample(300, 1.0, 1.0, seed=4)
+        A = build_design_matrix(pts, SpectralBasis(8)).values
+        A = A * np.logspace(0.0, -6.0, A.shape[1])    # cond(A) about 1e6
+    else:
+        A = rng.standard_normal((30, 100))
+    u = rng.standard_normal(A.shape[0])
+    lam = 1e-8 if kind == "ill_conditioned" else 1e-2
+    s_ref, w_ref = _svd_oracle(A, u, lam)
+    if kind == "ill_conditioned":
+        assert s_ref[0] / s_ref[-1] > 1e5
+
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    w, fit = ridge_fit_svd(A, u, lam)
+    assert calls == [1]
+    np.testing.assert_allclose(fit.s, s_ref, rtol=1e-12)
+    assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
+
+
 # ---------------------------------------------------------------------------
 # GCV
 
