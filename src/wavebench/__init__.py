@@ -1,19 +1,4 @@
 """DoF-matched benchmarking of a sine-basis spectral surrogate against
 Crank-Nicolson P1 finite elements for the 2-D Dirichlet wave equation."""
 
-from .problem import WaveProblem, ic_polynomial, ic_mollifier, ic_single_mode
-from .mesh import Mesh, build_structured_mesh, element_geometry
-from .fem import (FemSystem, FemTrajectory, assemble_mass, assemble_stiffness,
-                  restrict_to_interior, cn_solve, discrete_energy)
-from .spectral import (SpectralBasis, SpectralModel, lhs_sample,
-                       build_design_matrix, ridge_fit_svd, gcv_score,
-                       select_lambda_gcv, effective_dof, fit_spectral_model,
-                       predict, predict_grid)
-from .dof_matching import MatchResult, dof_cn, match_cn_to_dof
-from .metrics import (ErrorReport, triangle_quadrature_integral,
-                      bilinear_interp, spatial_l2_error, space_time_l2_error,
-                      linf_l2_error, relative_error, compute_error_report)
-from .reference import ReferenceSolution, generate_reference
-from .runner import ExperimentConfig, run_benchmark, emit_snapshots
-
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 The surrogate's complexity is its effective DoF (hat-matrix trace). The FEM
 run with n intervals per direction and time step T/n has (n-1)^2 interior
-nodes and n+1 time levels, so its DoF is (n-1)^2 (n+1). Matching solves the
-cubic (x-1)^2 (x+1) = dof for its real positive root and rounds to the
-nearest achievable integer resolution.
+nodes and n+1 time levels, so its DoF is (n-1)^2 (n+1). Matching takes the
+smallest n whose DoF reaches the target, so the nearest achievable
+resolution is n-1 or n.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["MatchResult", "dof_cn", "match_cn_to_dof", "cubic_root"]
+__all__ = ["MatchResult", "dof_cn", "match_cn_to_dof"]
 
 
 @dataclass(frozen=True)
@@ -36,48 +36,23 @@ def dof_cn(n: int, Nt_levels: int) -> int:
     return (n - 1) ** 2 * Nt_levels
 
 
-def cubic_root(dof: float) -> float:
-    """Real positive root of (x-1)^2 (x+1) = dof, via safeguarded Newton.
-
-    The cubic is strictly increasing for x > 1, so the root is unique once
-    dof > 0; bisection takes over whenever a Newton step leaves the bracket.
-    """
-    f = lambda x: (x - 1.0) ** 2 * (x + 1.0) - dof
-    df = lambda x: (x - 1.0) * (3.0 * x + 1.0)
-    lo = 1.0
-    hi = dof ** (1.0 / 3.0) + 2.0
-    while f(hi) < 0:
-        hi *= 2.0
-    x = dof ** (1.0 / 3.0) + 1.0
-    for _ in range(100):
-        fx = f(x)
-        if abs(fx) <= 1e-12 * max(dof, 1.0):
-            break
-        if fx > 0:
-            hi = x
-        else:
-            lo = x
-        step = fx / df(x)
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    return x
-
-
 def match_cn_to_dof(dof_ep: float, T: float) -> MatchResult:
     """Pick the integer resolution whose DoF is nearest the target.
 
     Ties break toward the smaller n. The time step is coupled to the
     spatial resolution, dt = T/n, giving n+1 stored time levels.
     """
-    if dof_ep < 1:
-        raise ValueError("effective DoF must be at least 1")
+    if not 1 <= dof_ep < math.inf:
+        raise ValueError("effective DoF must be finite and at least 1")
     if T <= 0:
         raise ValueError("final time must be positive")
-    r = cubic_root(dof_ep)
-    candidates = sorted({max(math.floor(r), 2), max(math.ceil(r), 2)})
-    best = min(candidates, key=lambda n: (abs(dof_cn(n, n + 1) - dof_ep), n))
+    # (n-1)^2 (n+1) < n^3, so the smallest n with dof_cn >= dof_ep is at
+    # least floor(cbrt(dof_ep)) and at most two steps above it
+    n = max(2, math.floor(dof_ep ** (1.0 / 3.0)))
+    while dof_cn(n, n + 1) < dof_ep:
+        n += 1
+    best = min({max(n - 1, 2), n},
+               key=lambda k: (abs(dof_cn(k, k + 1) - dof_ep), k))
     d = dof_cn(best, best + 1)
     return MatchResult(dof_ep=float(dof_ep), n=best, dt=T / best, Nt=best,
                        dof_cn=d, mismatch=abs(d - dof_ep))

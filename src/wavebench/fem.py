@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh, geometry_arrays
+from .mesh import Mesh, _locate_cells, geometry_arrays
 
 __all__ = [
     "FemSystem",
@@ -138,19 +138,7 @@ def p1_interpolate(grid: np.ndarray, L1: float, L2: float, x, y) -> np.ndarray:
     interpolant is linear on each of the two triangles formed by the
     lower-left to upper-right diagonal.
     """
-    ny = grid.shape[0] - 1
-    nx = grid.shape[1] - 1
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > L1 * (1 + 1e-12)) \
-            or np.any(y < -1e-12) or np.any(y > L2 * (1 + 1e-12)):
-        raise ValueError("evaluation point outside the domain")
-    gx = np.clip(x / L1 * nx, 0.0, nx)
-    gy = np.clip(y / L2 * ny, 0.0, ny)
-    ix = np.minimum(gx.astype(np.int64), nx - 1)
-    iy = np.minimum(gy.astype(np.int64), ny - 1)
-    s = gx - ix
-    r = gy - iy
+    ix, iy, s, r = _locate_cells(grid.shape, L1, L2, x, y)
     v00 = grid[iy, ix]
     v10 = grid[iy, ix + 1]
     v01 = grid[iy + 1, ix]

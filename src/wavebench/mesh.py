@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "build_structured_mesh", "element_geometry"]
+__all__ = ["Mesh", "build_structured_mesh", "geometry_arrays"]
 
 
 @dataclass(frozen=True)
@@ -95,19 +95,6 @@ def build_structured_mesh(L1: float, L2: float, nx: int, ny: int) -> Mesh:
     return Mesh(L1, L2, nx, ny, nodes, elements, interior, h)
 
 
-def element_geometry(mesh: Mesh, e: int):
-    """Area and edge-difference vectors of one triangle.
-
-    With vertices (x_i, y_i), i = 1..3 and cyclic indexing,
-    b_i = y_{i+1} - y_{i-1} and c_i = x_{i-1} - x_{i+1}; the signed area is
-    (b_2 c_3 - b_3 c_2) / 2 expressed via the standard cross product.
-    """
-    if not 0 <= e < mesh.n_elements:
-        raise ValueError(f"element id {e} out of range")
-    a, b_, c_ = geometry_arrays(mesh)
-    return float(a[e]), b_[e].copy(), c_[e].copy()
-
-
 def geometry_arrays(mesh: Mesh):
     """Vectorized (areas, b, c) for every element; used by assembly."""
     tri = mesh.nodes[mesh.elements]          # (n_el, 3, 2)
@@ -120,3 +107,25 @@ def geometry_arrays(mesh: Mesh):
     area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
                   - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
     return area, b, c
+
+
+def _locate_cells(shape, L1: float, L2: float, x, y):
+    """Cell of each point (x, y) on a uniform nodal grid, and where in it.
+
+    `shape` is the (ny+1, nx+1) shape of nodal values over [0, L1] x [0, L2].
+    Returns (ix, iy, s, r): the lower-left node of the cell holding each
+    point and the point's local coordinates in that cell, both in [0, 1].
+    Points on the far edges fall in the last cell.
+    """
+    ny = shape[0] - 1
+    nx = shape[1] - 1
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(x < -1e-12) or np.any(x > L1 * (1 + 1e-12)) \
+            or np.any(y < -1e-12) or np.any(y > L2 * (1 + 1e-12)):
+        raise ValueError("evaluation point outside the domain")
+    gx = np.clip(x / L1 * nx, 0.0, nx)
+    gy = np.clip(y / L2 * ny, 0.0, ny)
+    ix = np.minimum(gx.astype(np.int64), nx - 1)
+    iy = np.minimum(gy.astype(np.int64), ny - 1)
+    return ix, iy, gx - ix, gy - iy

@@ -13,18 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, geometry_arrays
+from .mesh import Mesh, _locate_cells, geometry_arrays
 
 __all__ = [
     "ErrorReport",
     "mesh_quadrature",
-    "triangle_quadrature_integral",
     "bilinear_interp",
-    "spatial_l2_error",
     "simpson_weights",
-    "space_time_l2_error",
-    "linf_l2_error",
-    "relative_error",
     "compute_error_report",
 ]
 
@@ -52,48 +47,17 @@ def mesh_quadrature(mesh: Mesh):
     return pts.reshape(-1, 2), w.ravel()
 
 
-def triangle_quadrature_integral(f, mesh: Mesh) -> float:
-    """Integrate f(x, y) over the mesh with the degree-3 triangle rule."""
-    pts, w = mesh_quadrature(mesh)
-    return float(w @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))
-
-
 def bilinear_interp(ref_slice: np.ndarray, L1: float, L2: float, x, y):
     """Tensor-product bilinear interpolation on a uniform nodal grid.
 
     `ref_slice` has shape (ny+1, nx+1) over [0, L1] x [0, L2]; exact at
     grid nodes and for any bilinear function.
     """
-    ny = ref_slice.shape[0] - 1
-    nx = ref_slice.shape[1] - 1
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > L1 * (1 + 1e-12)) \
-            or np.any(y < -1e-12) or np.any(y > L2 * (1 + 1e-12)):
-        raise ValueError("interpolation point outside the domain")
-    gx = np.clip(x / L1 * nx, 0.0, nx)
-    gy = np.clip(y / L2 * ny, 0.0, ny)
-    ix = np.minimum(gx.astype(np.int64), nx - 1)
-    iy = np.minimum(gy.astype(np.int64), ny - 1)
-    s = gx - ix
-    r = gy - iy
+    ix, iy, s, r = _locate_cells(ref_slice.shape, L1, L2, x, y)
     return ((1 - s) * (1 - r) * ref_slice[iy, ix]
             + s * (1 - r) * ref_slice[iy, ix + 1]
             + (1 - s) * r * ref_slice[iy + 1, ix]
             + s * r * ref_slice[iy + 1, ix + 1])
-
-
-def spatial_l2_error(u_h, ref_slice: np.ndarray, mesh: Mesh) -> float:
-    """L2 norm of (u_h - reference slice) over the mesh at one time.
-
-    `u_h` is a callable (x, y) -> values; the reference slice is read by
-    bilinear interpolation at the quadrature points.
-    """
-    pts, w = mesh_quadrature(mesh)
-    diff = (np.asarray(u_h(pts[:, 0], pts[:, 1]), dtype=float)
-            - bilinear_interp(ref_slice, mesh.L1, mesh.L2, pts[:, 0], pts[:, 1]))
-    # the negative centroid weight can push a tiny squared integral below zero
-    return float(np.sqrt(max(w @ diff**2, 0.0)))
 
 
 def simpson_weights(Nt: int, dt: float, paper_endpoint: bool = False) -> np.ndarray:
@@ -111,50 +75,6 @@ def simpson_weights(Nt: int, dt: float, paper_endpoint: bool = False) -> np.ndar
     if paper_endpoint:
         w[0] = 0.5
     return w * dt / 3.0
-
-
-def linf_l2_error(per_snapshot) -> float:
-    """Maximum of the per-time spatial errors."""
-    per_snapshot = np.asarray(per_snapshot, dtype=float)
-    if per_snapshot.size == 0:
-        raise ValueError("empty snapshot error array")
-    return float(per_snapshot.max())
-
-
-def relative_error(abs_err: float, ref_norm: float) -> float:
-    if ref_norm <= 0:
-        raise ValueError("reference norm must be positive")
-    return abs_err / ref_norm
-
-
-def space_time_l2_error(solution, ref, mesh: Mesh, Nt_eval: int = 200,
-                        paper_simpson: bool = False):
-    """Space-time L2 error of a solver field against the reference.
-
-    `solution` is a callable (x, y, t) -> values; `ref` is a
-    ReferenceSolution. Returns (error, per_snapshot) where per_snapshot
-    holds the spatial errors E_n on the evaluation time grid.
-    """
-    E, _, times = _snapshot_errors(solution, ref, mesh, Nt_eval)
-    w = simpson_weights(Nt_eval, times[1] - times[0], paper_simpson)
-    return float(np.sqrt(w @ E**2)), E
-
-
-def _snapshot_errors(solution, ref, mesh: Mesh, Nt_eval: int):
-    """Per-time spatial errors and reference norms on the evaluation grid."""
-    if Nt_eval < 2 or Nt_eval % 2:
-        raise ValueError("Simpson's rule needs an even interval count >= 2")
-    pts, w = mesh_quadrature(mesh)
-    x, y = pts[:, 0], pts[:, 1]
-    times = np.linspace(0.0, ref.problem.T, Nt_eval + 1)
-    E = np.empty(Nt_eval + 1)
-    R = np.empty(Nt_eval + 1)
-    for n, t in enumerate(times):
-        ref_vals = bilinear_interp(ref.at_time(t), mesh.L1, mesh.L2, x, y)
-        sol_vals = np.asarray(solution(x, y, t), dtype=float)
-        E[n] = np.sqrt(max(w @ (sol_vals - ref_vals) ** 2, 0.0))
-        R[n] = np.sqrt(max(w @ ref_vals**2, 0.0))
-    return E, R, times
 
 
 @dataclass
@@ -184,21 +104,42 @@ class ErrorReport:
 def compute_error_report(solution, ref, mesh: Mesh, Nt_eval: int = 200,
                          paper_simpson: bool = False,
                          timings: dict | None = None) -> ErrorReport:
-    """Full error report of a space-time field against the reference."""
-    E, R, times = _snapshot_errors(solution, ref, mesh, Nt_eval)
-    w = simpson_weights(Nt_eval, times[1] - times[0], paper_simpson)
-    st = float(np.sqrt(w @ E**2))
-    ref_norm = float(np.sqrt(w @ R**2))
-    linf = linf_l2_error(E)
+    """Full error report of a space-time field against the reference.
+
+    `solution` is a callable (x, y, t) -> values and `ref` a
+    ReferenceSolution. At each of the Nt_eval + 1 evaluation times the
+    spatial L2 error E_n and reference norm R_n are integrated over the
+    mesh; Simpson's rule in time then gives the space-time norms.
+    """
+    if Nt_eval < 2 or Nt_eval % 2:
+        raise ValueError("Simpson's rule needs an even interval count >= 2")
+    pts, w = mesh_quadrature(mesh)
+    x, y = pts[:, 0], pts[:, 1]
+    times = np.linspace(0.0, ref.problem.T, Nt_eval + 1)
+    E = np.empty(Nt_eval + 1)
+    R = np.empty(Nt_eval + 1)
+    for n, t in enumerate(times):
+        ref_vals = bilinear_interp(ref.at_time(t), mesh.L1, mesh.L2, x, y)
+        sol_vals = np.asarray(solution(x, y, t), dtype=float)
+        # the negative centroid weight can push a tiny squared integral
+        # below zero
+        E[n] = np.sqrt(max(w @ (sol_vals - ref_vals) ** 2, 0.0))
+        R[n] = np.sqrt(max(w @ ref_vals**2, 0.0))
+    wt = simpson_weights(Nt_eval, times[1] - times[0], paper_simpson)
+    st = float(np.sqrt(wt @ E**2))
+    ref_norm = float(np.sqrt(wt @ R**2))
     # The max-in-time error is normalized by the reference norm at the
     # snapshot where the error peaks, so linf_rel is the relative error
     # of that worst snapshot rather than a ratio of two unrelated maxima.
     n_peak = int(np.argmax(E))
+    linf, ref_peak = float(E[n_peak]), float(R[n_peak])
+    if ref_norm <= 0 or ref_peak <= 0:
+        raise ValueError("reference norm must be positive")
     return ErrorReport(
         st_l2=st,
-        st_rel=relative_error(st, ref_norm),
+        st_rel=st / ref_norm,
         linf_l2=linf,
-        linf_rel=relative_error(linf, float(R[n_peak])),
+        linf_rel=linf / ref_peak,
         ref_st_norm=ref_norm,
         per_snapshot=E,
         timings=dict(timings or {}),

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, metrics, reference, spectral
-from .dof_matching import match_cn_to_dof
+from .dof_matching import MatchResult, match_cn_to_dof
 from .mesh import build_structured_mesh
 from .problem import WaveProblem
 
@@ -43,9 +43,6 @@ class ExperimentConfig:
     m: int = 5000
     seed: int = 0
     sample_mode: str = "jittered"
-    lambda_min: float = 1e-12
-    lambda_max: float = 1e2
-    lambda_per_decade: int = 8
     ref_nx: int = 200
     ref_ny: int = 200
     dt_ref: float | None = None          # default 1 / (2 ref_nx)
@@ -56,6 +53,9 @@ class ExperimentConfig:
     output_dir: str = "wavebench_out"
 
     def __post_init__(self):
+        self.problem()                       # validates domain, c, T and ic
+        if self.ref_nx < 1 or self.ref_ny < 1:
+            raise ValueError("ref_nx and ref_ny must be at least 1")
         if self.dt_ref is None:
             self.dt_ref = 1.0 / (2 * self.ref_nx)
         if self.dt_ref >= min(self.L1 / self.ref_nx, self.L2 / self.ref_ny):
@@ -69,8 +69,6 @@ class ExperimentConfig:
             raise ValueError("Nt_eval must be even and >= 2")
         if self.N < 1 or self.m < 1:
             raise ValueError("N and m must be positive")
-        if self.lambda_min <= 0 or self.lambda_max <= self.lambda_min:
-            raise ValueError("need 0 < lambda_min < lambda_max")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -88,12 +86,6 @@ class ExperimentConfig:
         return WaveProblem(self.L1, self.L2, self.c, self.T, self.ic,
                            dict(self.ic_params))
 
-    def lambda_grid(self) -> np.ndarray:
-        decades = np.log10(self.lambda_max / self.lambda_min)
-        n = int(round(decades * self.lambda_per_decade)) + 1
-        return np.logspace(np.log10(self.lambda_min),
-                           np.log10(self.lambda_max), n)
-
     def paper_scale(self) -> "ExperimentConfig":
         """Copy of this config at the full 400 x 400 reference resolution."""
         doc = asdict(self)
@@ -107,7 +99,7 @@ class BenchmarkResult:
 
     config: ExperimentConfig
     model: spectral.SpectralModel
-    match: object
+    match: MatchResult
     trajectory: fem.FemTrajectory
     ep_report: metrics.ErrorReport
     cn_report: metrics.ErrorReport
@@ -172,7 +164,7 @@ def fit_surrogate(config: ExperimentConfig) -> tuple[spectral.SpectralModel, flo
     t0 = time.perf_counter()
     model = spectral.fit_spectral_model(
         config.problem(), config.N, config.m, seed=config.seed,
-        sample_mode=config.sample_mode, lambda_grid=config.lambda_grid())
+        sample_mode=config.sample_mode)
     return model, time.perf_counter() - t0
 
 
@@ -245,15 +237,17 @@ def emit_snapshots(config: ExperimentConfig, model, traj, ref,
     ep_xs = np.linspace(0.0, problem.L1, 51)
     ep_ys = np.linspace(0.0, problem.L2, 51)
     cn_field = traj.field()
-    RX, RY = np.meshgrid(ref_xs, ref_ys)
+    ep_field = lambda x, y, t: spectral.predict(model, x, y, t)
+
+    def on_grid(field_, xs, ys, t):
+        X, Y = np.meshgrid(xs, ys)
+        return field_(X.ravel(), Y.ravel(), t).reshape(X.shape), xs, ys
 
     for t in config.snapshot_times:
         grids = {
             "reference": (ref.at_time(t), ref_xs, ref_ys),
-            "cn_fem": (cn_field(RX.ravel(), RY.ravel(), t).reshape(RX.shape),
-                       ref_xs, ref_ys),
-            "bepgp": (spectral.predict_grid(model, ep_xs, ep_ys, t),
-                      ep_xs, ep_ys),
+            "cn_fem": on_grid(cn_field, ref_xs, ref_ys, t),
+            "bepgp": on_grid(ep_field, ep_xs, ep_ys, t),
         }
         for name, (grid, xs, ys) in grids.items():
             grid = np.array(grid, dtype=float)

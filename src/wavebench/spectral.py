@@ -34,7 +34,6 @@ __all__ = [
     "default_lambda_grid",
     "fit_spectral_model",
     "predict",
-    "predict_grid",
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -83,8 +82,6 @@ class DesignMatrix:
     """Spatial basis evaluated at the sample points, shape (m, N^2)."""
 
     values: np.ndarray
-    points: np.ndarray
-    basis: SpectralBasis
 
 
 def lhs_sample(m: int, L1: float, L2: float, seed: int = 0,
@@ -119,7 +116,7 @@ def build_design_matrix(points: np.ndarray, basis: SpectralBasis) -> DesignMatri
     sx = _sine_table(x, basis.N, basis.L1)       # (m, N), j index
     sy = _sine_table(y, basis.N, basis.L2)       # (m, N), k index
     values = (sx[:, :, None] * sy[:, None, :]).reshape(points.shape[0], -1)
-    return DesignMatrix(values, points, basis)
+    return DesignMatrix(values)
 
 
 @dataclass(frozen=True)
@@ -290,21 +287,17 @@ class SpectralModel:
 
 
 def fit_spectral_model(problem, N: int, m: int, seed: int = 0,
-                       sample_mode: str = "jittered", lambda_grid=None,
-                       noise_std: float = 0.0) -> SpectralModel:
+                       sample_mode: str = "jittered") -> SpectralModel:
     """Full fitting pipeline: sample, design matrix, SVD, GCV, weights.
 
-    `noise_std` adds seeded Gaussian noise to the sampled initial data;
-    the benchmark experiments leave it at zero.
+    The ridge parameter is searched over `default_lambda_grid()`.
     """
     basis = SpectralBasis(N, problem.L1, problem.L2, problem.c)
     pts = lhs_sample(m, problem.L1, problem.L2, seed=seed, mode=sample_mode)
     Phi = build_design_matrix(pts, basis)
     u = np.asarray(problem.initial_condition()(pts[:, 0], pts[:, 1]), dtype=float)
-    if noise_std > 0:
-        u = u + np.random.default_rng(seed + 1).normal(0.0, noise_std, m)
     _, fit = ridge_fit_svd(Phi, u, 1.0)   # keeps the factorization handle
-    lam, edof, score = select_lambda_gcv(fit, u, lambda_grid)
+    lam, edof, score = select_lambda_gcv(fit, u)
     w = fit.coefficients(u, lam)
     diagnostics = {
         "seed": seed,
@@ -333,21 +326,3 @@ def predict(model: SpectralModel, x, y, t: float):
     out = np.einsum("pk,pk->p", sx @ Wt, sy)
     return float(out[0]) if scalar else out
 
-
-def predict_grid(model: SpectralModel, xs, ys, t: float) -> np.ndarray:
-    """Evaluate on a tensor grid; returns shape (len(ys), len(xs)).
-
-    Uses separable sine tables, so the cost is O(grid * N) per direction
-    rather than O(grid * N^2).
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    b = model.basis
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if np.any(xs < 0) or np.any(xs > b.L1) or np.any(ys < 0) or np.any(ys > b.L2):
-        raise ValueError("grid point outside the closed rectangle")
-    sx = _sine_table(xs, b.N, b.L1)              # (nx, N_j)
-    sy = _sine_table(ys, b.N, b.L2)              # (ny, N_k)
-    Wt = model.weights.reshape(b.N, b.N) * np.cos(b.omegas * t)
-    return sy @ Wt.T @ sx.T

@@ -1,9 +1,9 @@
 """DoF accounting and the cubic matching rule."""
 
+import numpy as np
 import pytest
 
-from wavebench.dof_matching import (MatchResult, dof_cn, cubic_root,
-                                    match_cn_to_dof)
+from wavebench.dof_matching import MatchResult, dof_cn, match_cn_to_dof
 
 
 def test_dof_cn_values():
@@ -19,17 +19,24 @@ def test_dof_cn_validation():
         dof_cn(4, 0)
 
 
-def test_cubic_root_exact_values():
-    # (n-1)^2 (n+1) for integer n must invert exactly
-    for n in (2, 5, 12, 40):
-        dof = (n - 1) ** 2 * (n + 1)
-        assert cubic_root(dof) == pytest.approx(n, abs=1e-8)
-
-
-def test_cubic_root_residual_small():
-    for dof in (1.0, 10.0, 1600.0, 1e7):
-        x = cubic_root(dof)
-        assert abs((x - 1) ** 2 * (x + 1) - dof) <= 1e-9 * max(dof, 1.0)
+def test_match_agrees_with_brute_force():
+    # exact cubes, midpoints between neighbours (ties), one ulp below each
+    # cube and random targets, against the nearest dof_cn over n = 2..400
+    # with ties to the smaller n
+    ns = np.arange(2, 401)
+    table = (ns - 1) ** 2 * (ns + 1)
+    cubes = table[:299].astype(float)                  # n = 2..300
+    targets = np.concatenate([
+        [1.0, 2.0],
+        cubes,
+        (cubes + table[1:300]) / 2.0,
+        np.nextafter(cubes, 0.0),
+        np.random.default_rng(8).uniform(1.0, cubes[-1], 2000),
+    ])
+    for dof in targets:
+        want = ns[np.argmin(np.abs(table - dof))]      # first minimum
+        r = match_cn_to_dof(float(dof), 1.0)
+        assert (r.n, r.dof_cn) == (want, dof_cn(want, want + 1)), dof
 
 
 def test_match_1600():
@@ -63,6 +70,10 @@ def test_match_scales_dt_with_horizon():
 def test_match_validation():
     with pytest.raises(ValueError):
         match_cn_to_dof(0.5, 1.0)
+    with pytest.raises(ValueError):
+        match_cn_to_dof(float("inf"), 1.0)
+    with pytest.raises(ValueError):
+        match_cn_to_dof(float("nan"), 1.0)
     with pytest.raises(ValueError):
         match_cn_to_dof(100.0, 0.0)
 

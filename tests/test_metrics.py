@@ -5,10 +5,8 @@ import pytest
 
 from wavebench.mesh import build_structured_mesh
 from wavebench.metrics import (_QUAD_BARY, _QUAD_W, mesh_quadrature,
-                               triangle_quadrature_integral, bilinear_interp,
-                               spatial_l2_error, simpson_weights,
-                               linf_l2_error, relative_error,
-                               space_time_l2_error, compute_error_report)
+                               bilinear_interp, simpson_weights,
+                               compute_error_report)
 from wavebench.problem import WaveProblem
 from wavebench.reference import ReferenceSolution
 
@@ -59,11 +57,11 @@ def test_degree3_exact_on_random_triangles():
 
 def test_mesh_quadrature_integrates_polynomials():
     mesh = build_structured_mesh(1.0, 1.0, 4, 3)
+    pts, w = mesh_quadrature(mesh)
+    x, y = pts[:, 0], pts[:, 1]
     # int x^2 y over the unit square = 1/6 (total degree 3, still exact)
-    val = triangle_quadrature_integral(lambda x, y: x**2 * y, mesh)
-    assert val == pytest.approx(1.0 / 6.0, abs=1e-14)
-    val = triangle_quadrature_integral(lambda x, y: np.ones_like(x), mesh)
-    assert val == pytest.approx(1.0, abs=1e-14)
+    assert w @ (x**2 * y) == pytest.approx(1.0 / 6.0, abs=1e-14)
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_mesh_quadrature_shapes():
@@ -101,19 +99,6 @@ def test_bilinear_interp_domain_check():
         bilinear_interp(np.zeros((3, 3)), 1.0, 1.0, -0.1, 0.5)
 
 
-def test_spatial_l2_error_zero_and_known():
-    mesh = build_structured_mesh(1.0, 1.0, 8, 8)
-    xs = np.linspace(0, 1, 17)
-    X, Y = np.meshgrid(xs, xs)
-    ref_slice = X * 0.0
-    # constant offset: ||c||_{L2} = c over the unit square
-    err = spatial_l2_error(lambda x, y: np.full_like(x, 0.25),
-                           ref_slice, mesh)
-    assert err == pytest.approx(0.25, abs=1e-14)
-    err = spatial_l2_error(lambda x, y: np.zeros_like(x), ref_slice, mesh)
-    assert err == pytest.approx(0.0, abs=1e-14)
-
-
 def test_simpson_exact_on_cubics():
     for Nt, T in ((2, 1.0), (10, 2.0), (200, 1.0)):
         dt = T / Nt
@@ -138,15 +123,6 @@ def test_simpson_validation():
         simpson_weights(0, 0.1)
 
 
-def test_linf_and_relative():
-    assert linf_l2_error([0.1, 0.5, 0.3]) == 0.5
-    assert relative_error(0.2, 0.5) == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        relative_error(0.1, 0.0)
-    with pytest.raises(ValueError):
-        linf_l2_error([])
-
-
 def _toy_reference(fn, nx=32, Nt=64):
     """Reference built from an analytic space-time field."""
     prob = WaveProblem(ic="polynomial")
@@ -161,10 +137,44 @@ def test_space_time_error_of_identical_field_is_zero():
     fn = lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y) * (1 - t / 2)
     ref = _toy_reference(fn)
     mesh = build_structured_mesh(1.0, 1.0, 32, 32)
-    err, per = space_time_l2_error(fn, ref, mesh, Nt_eval=64)
+    rep = compute_error_report(fn, ref, mesh, Nt_eval=64)
     # the only deviation left is bilinear readback of a non-bilinear field
-    assert err < 2e-3
-    assert per.shape == (65,)
+    assert rep.st_l2 < 2e-3
+    assert rep.per_snapshot.shape == (65,)
+
+
+def test_spatial_l2_error_zero_and_known():
+    # the per-snapshot entries are spatial L2 norms: a constant offset c
+    # has norm c over the unit square, an identical field has norm 0
+    ref = _toy_reference(lambda x, y, t: 0.0 * x, nx=16, Nt=8)
+    mesh = build_structured_mesh(1.0, 1.0, 8, 8)
+    with pytest.raises(ValueError, match="reference norm"):
+        compute_error_report(lambda x, y, t: np.full_like(x, 0.25), ref,
+                             mesh, Nt_eval=8)
+    base = lambda x, y, t: 1.0 + 0.0 * x
+    ref = _toy_reference(base, nx=16, Nt=8)
+    rep = compute_error_report(lambda x, y, t: base(x, y, t) + 0.25, ref,
+                               mesh, Nt_eval=8)
+    np.testing.assert_allclose(rep.per_snapshot, 0.25, atol=1e-14)
+    rep = compute_error_report(base, ref, mesh, Nt_eval=8)
+    np.testing.assert_allclose(rep.per_snapshot, 0.0, atol=1e-14)
+
+
+def test_linf_and_relative():
+    # error 0.1 t against a reference of norm 1 + t: the space-time norm
+    # is sqrt(int_0^1 (0.1 t)^2 dt) = 0.1/sqrt(3), the peak is 0.1 at t = 1
+    # where the reference norm is 2
+    base = lambda x, y, t: (1.0 + t) + 0.0 * x
+    ref = _toy_reference(base, nx=4, Nt=8)
+    mesh = build_structured_mesh(1.0, 1.0, 4, 4)
+    rep = compute_error_report(lambda x, y, t: base(x, y, t) + 0.1 * t, ref,
+                               mesh, Nt_eval=8)
+    assert rep.linf_l2 == rep.per_snapshot.max()
+    assert rep.linf_l2 == pytest.approx(0.1, rel=1e-12)
+    assert rep.linf_rel == pytest.approx(0.05, rel=1e-12)
+    assert rep.st_l2 == pytest.approx(0.1 / np.sqrt(3.0), rel=1e-12)
+    assert rep.ref_st_norm == pytest.approx(np.sqrt(7.0 / 3.0), rel=1e-12)
+    assert rep.st_rel == rep.st_l2 / rep.ref_st_norm
 
 
 def test_compute_error_report_known_offset():

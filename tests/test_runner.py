@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavebench import cli, reference
+from wavebench import cli, reference, spectral
 from wavebench.runner import (ExperimentConfig, run_benchmark, emit_snapshots,
                               get_reference, CSV_HEADER)
 
@@ -44,10 +44,20 @@ def test_config_validation():
         ExperimentConfig(ref_nx=100, ref_ny=100, dt_ref=0.5)
     with pytest.raises(ValueError, match="Nt_eval"):
         ExperimentConfig(Nt_eval=7)
-    with pytest.raises(ValueError, match="lambda"):
-        ExperimentConfig(lambda_min=1.0, lambda_max=0.1)
     with pytest.raises(ValueError):
         ExperimentConfig(N=0)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"L1": -1.0}, "L1 must be strictly positive"),
+    ({"c": 0.0}, "c must be strictly positive"),
+    ({"ic": "polinomial"}, "unknown initial condition"),
+    ({"ref_nx": 0}, "ref_nx and ref_ny must be at least 1"),
+    ({"ref_ny": 0}, "ref_nx and ref_ny must be at least 1"),
+], ids=["L1", "c", "ic", "ref_nx", "ref_ny"])
+def test_config_rejects_bad_problem_and_grid(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**overrides)
 
 
 def test_config_rejects_snapshot_times_outside_horizon():
@@ -76,10 +86,16 @@ def test_config_default_dt_ref_and_paper_scale():
 
 
 def test_default_lambda_grid_has_113_points():
-    grid = ExperimentConfig().lambda_grid()
+    # the fit searches one fixed grid, bit-identical to the one the former
+    # lambda_min / lambda_max / lambda_per_decade defaults built; config
+    # files that still set those keys are rejected
+    grid = spectral.default_lambda_grid()
     assert grid.size == 113
-    assert grid[0] == pytest.approx(1e-12)
-    assert grid[-1] == pytest.approx(1e2)
+    np.testing.assert_array_equal(
+        grid, np.logspace(np.log10(1e-12), np.log10(1e2), 113))
+    for key in ("lambda_min", "lambda_max", "lambda_per_decade"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentConfig.from_json(json.dumps({key: 1}))
 
 
 # ------------------------------------------------------------- benchmark
@@ -131,6 +147,38 @@ def test_benchmark_is_deterministic(tmp_path):
     assert [p.name for p in cache_a] == [p.name for p in cache_b]
     for pa, pb in zip(cache_a, cache_b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+# Reports of the determinism config (N=4, m=120, 32x32 reference,
+# Nt_eval=10, seed 0), recorded before the error, interpolation and
+# DoF-matching code was consolidated; a refactor must not move them.
+RECORDED = {
+    "polynomial": dict(
+        lam=7.419479135001937e-04, edof=15.999543171830013, n=3, dof_cn=16,
+        bepgp=(2.115800743312265e-04, 8.750133070089353e-03,
+               4.8345868312130256e-04, 5.4354064358131116e-02),
+        cn_fem=(1.0217864351773475e-02, 4.2257132696802713e-01,
+                1.7021599395656034e-02, 8.091196309979405e-01)),
+    "mollifier": dict(
+        lam=9.030870063004298e-01, edof=15.4654587563899, n=3, dof_cn=16,
+        bepgp=(1.9420522308832018e-02, 3.4234523922782395e-01,
+               3.1010234954008533e-02, 7.237205609385841e-01),
+        cn_fem=(1.7576612891765678e-01, 3.09840778201411,
+                2.847922735267451e-01, 4.731806637706555)),
+}
+
+
+@pytest.mark.parametrize("ic", sorted(RECORDED))
+def test_report_matches_recorded_values(tmp_path, ic):
+    want = RECORDED[ic]
+    result = run_benchmark(_small_config(tmp_path, ic=ic, N=4, m=120,
+                                         ref_nx=32, ref_ny=32, Nt_eval=10))
+    assert (result.match.n, result.match.dof_cn) == (want["n"], want["dof_cn"])
+    assert result.model.lam == pytest.approx(want["lam"], rel=1e-8)
+    assert result.model.edof == pytest.approx(want["edof"], rel=1e-8)
+    for name, rep in (("bepgp", result.ep_report), ("cn_fem", result.cn_report)):
+        got = (rep.st_l2, rep.st_rel, rep.linf_l2, rep.linf_rel)
+        assert got == pytest.approx(want[name], rel=1e-8), name
 
 
 def test_reference_cache_is_reused(tmp_path):

@@ -8,7 +8,7 @@ from wavebench.spectral import (SpectralBasis, SpectralModel, lhs_sample,
                                 build_design_matrix, ridge_fit_svd, gcv_score,
                                 select_lambda_gcv, effective_dof,
                                 default_lambda_grid, fit_spectral_model,
-                                predict, predict_grid, _sine_table)
+                                predict, _sine_table)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +296,14 @@ def test_predict_grid_matches_pointwise():
     model = fit_spectral_model(prob, N=5, m=200, seed=0)
     xs = np.linspace(0, 1, 7)
     ys = np.linspace(0, 1, 9)
-    G = predict_grid(model, xs, ys, 0.4)
-    assert G.shape == (9, 7)
     X, Y = np.meshgrid(xs, ys)
-    np.testing.assert_allclose(G, predict(model, X.ravel(), Y.ravel(),
-                                          0.4).reshape(9, 7), atol=1e-13)
+    G = predict(model, X.ravel(), Y.ravel(), 0.4).reshape(X.shape)
+    # separable oracle: sum_jk w_jk cos(w_jk t) sin_j(x) sin_k(y)
+    Wt = model.weights.reshape(5, 5) * np.cos(model.basis.omegas * 0.4)
+    oracle = _sine_table(ys, 5, 1.0) @ Wt.T @ _sine_table(xs, 5, 1.0).T
+    np.testing.assert_allclose(G, oracle, atol=1e-13)
+    pointwise = [[predict(model, x, y, 0.4) for x in xs] for y in ys]
+    np.testing.assert_allclose(G, pointwise, atol=1e-13)
 
 
 def test_predict_boundary_exactly_zero():
