@@ -53,11 +53,16 @@ def bilinear_interp(ref_slice: np.ndarray, L1: float, L2: float, x, y):
     `ref_slice` has shape (ny+1, nx+1) over [0, L1] x [0, L2]; exact at
     grid nodes and for any bilinear function.
     """
-    ix, iy, s, r = _locate_cells(ref_slice.shape, L1, L2, x, y)
-    return ((1 - s) * (1 - r) * ref_slice[iy, ix]
-            + s * (1 - r) * ref_slice[iy, ix + 1]
-            + (1 - s) * r * ref_slice[iy + 1, ix]
-            + s * r * ref_slice[iy + 1, ix + 1])
+    return _bilinear(ref_slice, _locate_cells(ref_slice.shape, L1, L2, x, y))
+
+
+def _bilinear(grid: np.ndarray, cells):
+    """Bilinear interpolation of `grid` at points already located in it."""
+    ix, iy, s, r = cells
+    return ((1 - s) * (1 - r) * grid[iy, ix]
+            + s * (1 - r) * grid[iy, ix + 1]
+            + (1 - s) * r * grid[iy + 1, ix]
+            + s * r * grid[iy + 1, ix + 1])
 
 
 def simpson_weights(Nt: int, dt: float, paper_endpoint: bool = False) -> np.ndarray:
@@ -118,8 +123,10 @@ def compute_error_report(solution, ref, mesh: Mesh, Nt_eval: int = 200,
     times = np.linspace(0.0, ref.problem.T, Nt_eval + 1)
     E = np.empty(Nt_eval + 1)
     R = np.empty(Nt_eval + 1)
+    # every slice shares one grid, so the points are located once
+    cells = _locate_cells(ref.at_time(0.0).shape, mesh.L1, mesh.L2, x, y)
     for n, t in enumerate(times):
-        ref_vals = bilinear_interp(ref.at_time(t), mesh.L1, mesh.L2, x, y)
+        ref_vals = _bilinear(ref.at_time(t), cells)
         sol_vals = np.asarray(solution(x, y, t), dtype=float)
         # the negative centroid weight can push a tiny squared integral
         # below zero

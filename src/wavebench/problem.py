@@ -92,8 +92,33 @@ class WaveProblem:
         if self.ic not in IC_NAMES:
             raise ValueError(f"unknown initial condition {self.ic!r}; "
                              f"expected one of {IC_NAMES}")
-        if self.ic == "custom" and "fn" not in self.ic_params:
-            raise ValueError("custom initial condition requires ic_params['fn']")
+        if self.ic == "custom":
+            if "fn" not in self.ic_params:
+                raise ValueError("custom initial condition requires ic_params['fn']")
+        else:
+            self._check_boundary_zero()
+
+    def _check_boundary_zero(self):
+        """Reject a built-in initial condition that is not zero on the edges.
+
+        Both solvers impose u = 0 on the boundary, so a nonzero u0 there
+        would score them against different problems. The condition is
+        evaluated at 101 points on each edge, corners included.
+        """
+        s = np.linspace(0.0, 1.0, 101)
+        zero, one = np.zeros_like(s), np.ones_like(s)
+        x = self.L1 * np.concatenate([s, s, zero, one])
+        y = self.L2 * np.concatenate([zero, one, s, s])
+        try:
+            u0 = np.asarray(self.initial_condition()(x, y), dtype=float)
+        except (TypeError, ValueError) as exc:       # bad ic_params
+            raise ValueError(f"initial condition {self.ic!r} with ic_params "
+                             f"{self.ic_params} failed: {exc}") from exc
+        worst = float(np.max(np.abs(u0)))
+        if not worst <= 1e-12:
+            raise ValueError(
+                f"initial condition {self.ic!r} is not zero on the boundary of "
+                f"(0, {self.L1}) x (0, {self.L2}): |u0| reaches {worst:.3g}")
 
     def initial_condition(self) -> Callable:
         """Vectorized initial displacement u0(x, y)."""

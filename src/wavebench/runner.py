@@ -69,6 +69,9 @@ class ExperimentConfig:
             raise ValueError("Nt_eval must be even and >= 2")
         if self.N < 1 or self.m < 1:
             raise ValueError("N and m must be positive")
+        if self.sample_mode not in spectral.SAMPLE_MODES:
+            raise ValueError(f"unknown sample_mode {self.sample_mode!r}; "
+                             f"expected one of {spectral.SAMPLE_MODES}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

@@ -4,10 +4,17 @@ Each basis function sin(j pi x / L1) sin(k pi y / L2) cos(w_{jk} t) with
 w_{jk} = c pi sqrt((j/L1)^2 + (k/L2)^2) satisfies the wave equation and the
 homogeneous Dirichlet condition exactly, so only the weights are fitted.
 Fitting samples the initial displacement on a Latin hypercube design and
-solves a ridge problem through one retained thin SVD of the design matrix
-Phi, taken from `eigh` of the Gram matrix Phi^T Phi when Phi is well
-conditioned (the LHS sine design is nearly orthogonal) and directly
-otherwise; the ridge parameter is selected by generalized cross-validation.
+solves a ridge problem through one factorization of the design matrix Phi,
+whose ridge parameter is selected by generalized cross-validation. The
+m x N^2 matrix Phi is never formed on the usual route: the product-to-sum
+identity sin a sin b = (cos(a - b) - cos(a + b)) / 2 turns the Gram matrix
+Phi^T Phi into a gather from the (2N+1)^2 cosine moments of the samples,
+and Phi^T u into a product of the two m x N sine tables. `eigh` of that
+Gram matrix gives the singular values and right singular vectors when Phi
+is well conditioned (the LHS sine design is nearly orthogonal); otherwise
+Phi is formed and factored by a direct SVD. The left singular vectors U
+are not kept: every ridge and GCV quantity needs only U^T u, which is
+Vt (Phi^T u) / s, projected once per observation vector.
 
 Weight / column order: (j, k) lexicographic with j outer, i.e. column
 (j-1)*N + (k-1) holds mode (j, k).
@@ -37,6 +44,8 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+SAMPLE_MODES = ("jittered", "midpoint")
 
 # Largest eigenvalue ratio of Phi^T Phi accepted from the Gram route, i.e.
 # cond(Phi) <= 1e3. Forming the Gram matrix squares the condition number,
@@ -79,9 +88,51 @@ class SpectralBasis:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Spatial basis evaluated at the sample points, shape (m, N^2)."""
+    """Spatial basis at the m sample points, kept as its two sine tables.
 
-    values: np.ndarray
+    Column (j-1)*N + (k-1) of the m x N^2 design Phi is
+    sx[:, j-1] * sy[:, k-1]; `values` forms that product when it is read.
+    `moments` is M = Cx^T Cy with Cx[p, d] = cos(d pi x_p / L1) and
+    Cy[p, d] = cos(d pi y_p / L2) for d = 0..2N, from which `gram` gathers
+    Phi^T Phi.
+    """
+
+    sx: np.ndarray
+    sy: np.ndarray
+    moments: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.sx.shape[0], self.sx.shape[1] * self.sy.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense m x N^2 design, built on each read."""
+        return (self.sx[:, :, None] * self.sy[:, None, :]).reshape(self.shape)
+
+    def gram(self) -> np.ndarray:
+        """Phi^T Phi from the cosine moments, without forming Phi.
+
+        Applying sin a sin b = (cos(a - b) - cos(a + b)) / 2 in each
+        direction gives G[(j,k),(j',k')] = (M[|j-j'|,|k-k'|] - M[|j-j'|,k+k']
+        - M[j+j',|k-k'|] + M[j+j',k+k']) / 4.
+        """
+        N = self.sx.shape[1]
+        j = np.arange(1, N + 1)
+        diff = np.abs(j[:, None] - j[None, :])
+        add = j[:, None] + j[None, :]
+        # y direction first: Mk[d, k, k'], with the exact factor 1/4
+        Mk = 0.25 * (self.moments[:, diff] - self.moments[:, add])
+        G = np.empty((N * N, N * N))
+        rows = G.reshape(N, N, N, N)                # [j, k, j', k']
+        for jj in range(N):          # a block row at a time: no N^4 temporaries
+            np.subtract(Mk[diff[jj]], Mk[add[jj]],
+                        out=rows[jj].transpose(1, 0, 2))
+        return G
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        """Phi^T u = vec(sx^T diag(u) sy), without forming Phi."""
+        return ((self.sx.T * u) @ self.sy).ravel()
 
 
 def lhs_sample(m: int, L1: float, L2: float, seed: int = 0,
@@ -96,7 +147,7 @@ def lhs_sample(m: int, L1: float, L2: float, seed: int = 0,
     """
     if m < 1:
         raise ValueError("sample count must be at least 1")
-    if mode not in ("midpoint", "jittered"):
+    if mode not in SAMPLE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     pts = np.empty((m, 2))
@@ -108,33 +159,60 @@ def lhs_sample(m: int, L1: float, L2: float, seed: int = 0,
 
 
 def build_design_matrix(points: np.ndarray, basis: SpectralBasis) -> DesignMatrix:
-    """Evaluate all N^2 spatial basis functions at the sample points."""
+    """Sine tables and cosine moments of the basis at the sample points."""
     points = np.asarray(points, dtype=float)
     x, y = points[:, 0], points[:, 1]
     if np.any(x < 0) or np.any(x > basis.L1) or np.any(y < 0) or np.any(y > basis.L2):
         raise ValueError("sample point outside the closed rectangle")
-    sx = _sine_table(x, basis.N, basis.L1)       # (m, N), j index
-    sy = _sine_table(y, basis.N, basis.L2)       # (m, N), k index
-    values = (sx[:, :, None] * sy[:, None, :]).reshape(points.shape[0], -1)
-    return DesignMatrix(values)
+    d = np.pi * np.arange(2 * basis.N + 1, dtype=float)
+    cx = np.cos(np.multiply.outer(x / basis.L1, d))
+    cy = np.cos(np.multiply.outer(y / basis.L2, d))
+    return DesignMatrix(_sine_table(x, basis.N, basis.L1),   # (m, N), j index
+                        _sine_table(y, basis.N, basis.L2),   # (m, N), k index
+                        cx.T @ cy)
 
 
 @dataclass(frozen=True)
 class RidgeSVD:
-    """Thin SVD Phi = U diag(s) Vt (s descending), reused across solves."""
+    """Factorization Phi = U diag(s) Vt (s descending) of the design, without U.
 
-    U: np.ndarray
+    The ridge weights, residual and GCV score need U only through the
+    projection a = U^T u, which equals Vt (Phi^T u) / s. It is computed once
+    per observation vector: the last one is kept with a private copy of u,
+    and a later call with an equal-valued u reuses it, so the GCV search
+    projects once. Any other u is projected from `design`, which is held by
+    reference.
+    """
+
     s: np.ndarray
     Vt: np.ndarray
-    m: int
+    design: DesignMatrix | np.ndarray
+    _memo: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    @property
+    def m(self) -> int:
+        return self.design.shape[0]
+
+    def project(self, u: np.ndarray) -> np.ndarray:
+        """a = U^T u; directions with s at round-off level get a = 0."""
+        u = np.asarray(u, dtype=float)
+        last = self._memo
+        if last and np.array_equal(last[0], u):
+            return last[1]
+        Phi = self.design
+        b = self.Vt @ (Phi.rmatvec(u) if isinstance(Phi, DesignMatrix) else Phi.T @ u)
+        tol = max(self.m, self.Vt.shape[1]) * np.finfo(float).eps * self.s[0]
+        a = np.divide(b, self.s, out=np.zeros_like(b), where=self.s > tol)
+        object.__setattr__(self, "_memo", (u.copy(), a))
+        return a
 
     def coefficients(self, u: np.ndarray, lam: float) -> np.ndarray:
-        a = self.U.T @ u
+        a = self.project(u)
         return self.Vt.T @ (self.s / (self.s**2 + lam) * a)
 
     def rss(self, u: np.ndarray, lam: float) -> float:
         """Residual sum of squares ||u - Phi w_lam||^2 via the spectral filter."""
-        a = self.U.T @ u
+        a = self.project(u)
         out_of_range = float(u @ u - a @ a)      # component outside col(Phi)
         shrunk = (lam / (self.s**2 + lam)) * a
         return max(out_of_range, 0.0) + float(shrunk @ shrunk)
@@ -143,49 +221,53 @@ class RidgeSVD:
         return float(np.sum(self.s**2 / (self.s**2 + lam)))
 
 
-def _thin_svd(A: np.ndarray):
-    """Thin SVD of A, via eigh(A^T A) when A is tall and well conditioned.
+def _factor(Phi: DesignMatrix | np.ndarray):
+    """Singular values and Vt of Phi, via eigh(Phi^T Phi) when possible.
 
-    A^T A = V diag(s^2) V^T gives s and V, and U = A V / s. A wide design,
-    a non-positive eigenvalue or a ratio above `_GRAM_MAX_EV_RATIO` takes
-    `np.linalg.svd` instead.
+    Phi^T Phi = V diag(s^2) V^T gives s and V. A wide design, a
+    non-positive eigenvalue or a ratio above `_GRAM_MAX_EV_RATIO` takes
+    `np.linalg.svd` of the dense design instead.
     """
-    m, n = A.shape
+    dense = not isinstance(Phi, DesignMatrix)
+    m, n = Phi.shape
     if m >= n:
-        ev, V = np.linalg.eigh(A.T @ A)            # ascending
+        ev, V = np.linalg.eigh(Phi.T @ Phi if dense else Phi.gram())  # ascending
         if ev[0] > 0 and ev[-1] <= _GRAM_MAX_EV_RATIO * ev[0]:
-            s = np.sqrt(ev[::-1])
-            V = V[:, ::-1]
-            U = A @ V
-            U /= s
-            return U, s, V.T
-    return np.linalg.svd(A, full_matrices=False)
+            return np.sqrt(ev[::-1]), V[:, ::-1].T
+    _, s, Vt = np.linalg.svd(Phi if dense else Phi.values, full_matrices=False)
+    return s, Vt
 
 
 def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray, lam: float):
-    """Solve the ridge problem through a thin SVD of the design.
+    """Solve the ridge problem through a factorization of the design.
 
-    The SVD comes from `eigh` of the Gram matrix Phi^T Phi when cond(Phi)
-    is at most 1e3, else from `np.linalg.svd`. Returns (weights, handle);
-    the handle retains the factorization so that GCV evaluation over many
-    ridge parameters costs O(rank) each.
+    s and Vt come from `eigh` of the Gram matrix Phi^T Phi when cond(Phi)
+    is at most 1e3, else from `np.linalg.svd`. A `DesignMatrix` supplies
+    Phi^T Phi and Phi^T u from its tables; a plain array uses A^T A and
+    A^T u. Returns (weights, handle); the handle retains the factorization
+    and the projection of u, so that GCV evaluation over many ridge
+    parameters costs O(rank) each.
     """
-    A = Phi.values if isinstance(Phi, DesignMatrix) else np.asarray(Phi, dtype=float)
+    if isinstance(Phi, DesignMatrix):
+        tables = (Phi.sx, Phi.sy)
+    else:
+        Phi = np.asarray(Phi, dtype=float)
+        tables = (Phi,)
     u = np.asarray(u, dtype=float)
     if lam < 0:
         raise ValueError("ridge parameter must be nonnegative")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(u))):
+    if not (all(np.all(np.isfinite(t)) for t in tables) and np.all(np.isfinite(u))):
         raise ValueError("non-finite entries in the ridge system")
-    if u.shape != (A.shape[0],):
+    if u.shape != (Phi.shape[0],):
         raise ValueError("observation vector length does not match the design")
-    U, s, Vt = _thin_svd(A)
+    s, Vt = _factor(Phi)
     if lam == 0.0:
-        tol = max(A.shape) * np.finfo(float).eps * s[0]
+        tol = max(Phi.shape) * np.finfo(float).eps * s[0]
         if s[-1] <= tol:
             raise np.linalg.LinAlgError(
                 "design matrix is rank deficient; a positive ridge parameter "
                 "is required")
-    fit = RidgeSVD(U, s, Vt, A.shape[0])
+    fit = RidgeSVD(s, Vt, Phi)
     return fit.coefficients(u, lam), fit
 
 
@@ -262,6 +344,22 @@ class SpectralModel:
     lam: float
     edof: float
     diagnostics: dict = field(default_factory=dict)
+    _tables: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def sine_tables(self, x: np.ndarray, y: np.ndarray):
+        """Sine tables at the points (x, y), reused while their values repeat.
+
+        The last pair is kept with private copies of x and y, so arrays
+        changed in place get fresh tables.
+        """
+        last = self._tables
+        if last and np.array_equal(last[0], x) and np.array_equal(last[1], y):
+            return last[2], last[3]
+        b = self.basis
+        sx = _sine_table(x, b.N, b.L1)
+        sy = _sine_table(y, b.N, b.L2)
+        object.__setattr__(self, "_tables", (x.copy(), y.copy(), sx, sy))
+        return sx, sy
 
     def to_json(self) -> str:
         doc = {
@@ -310,7 +408,11 @@ def fit_spectral_model(problem, N: int, m: int, seed: int = 0,
 
 
 def predict(model: SpectralModel, x, y, t: float):
-    """Evaluate the surrogate at points (x, y) and time t."""
+    """Evaluate the surrogate at points (x, y) and time t.
+
+    Repeated calls at equal point arrays (one per evaluation time in an
+    error report) reuse the model's sine tables of the previous call.
+    """
     if t < 0:
         raise ValueError("time must be nonnegative")
     b = model.basis
@@ -320,9 +422,7 @@ def predict(model: SpectralModel, x, y, t: float):
     x, y = np.atleast_1d(x), np.atleast_1d(y)
     if np.any(x < 0) or np.any(x > b.L1) or np.any(y < 0) or np.any(y > b.L2):
         raise ValueError("evaluation point outside the closed rectangle")
-    sx = _sine_table(x, b.N, b.L1)
-    sy = _sine_table(y, b.N, b.L2)
+    sx, sy = model.sine_tables(x, y)
     Wt = model.weights.reshape(b.N, b.N) * np.cos(b.omegas * t)
     out = np.einsum("pk,pk->p", sx @ Wt, sy)
     return float(out[0]) if scalar else out
-

@@ -78,3 +78,24 @@ def test_problem_validation():
         WaveProblem(T=0.0)
     with pytest.raises(ValueError):
         WaveProblem(ic="gaussian")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(L1=2.0, ic="polynomial"), "reaches 0.5"),
+    (dict(L2=0.5, ic="polynomial"), "not zero on the boundary"),
+    (dict(L1=0.5, ic="mollifier"), "not zero on the boundary"),
+    (dict(ic="mollifier", ic_params={"x0": 0.1}), "not zero on the boundary"),
+    (dict(ic="mollifier", ic_params={"R": -1}), "support radius"),
+    (dict(ic="mollifier", ic_params={"radius": 0.2}), "radius"),
+], ids=["polynomial_L1", "polynomial_L2", "mollifier_L1", "mollifier_x0",
+        "mollifier_R", "mollifier_unknown_param"])
+def test_problem_rejects_unusable_initial_condition(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        WaveProblem(**kwargs)
+
+
+def test_problem_accepts_boundary_zero_initial_conditions():
+    # sin(pi x / L1) at x = L1 is about 1.2e-16, inside the 1e-12 tolerance
+    WaveProblem(L1=3.0, L2=0.7, ic="single_mode")
+    WaveProblem(L1=2.0, ic="mollifier")
+    WaveProblem(ic="mollifier", ic_params={"x0": 0.5, "y0": 0.5, "R": 0.5})

@@ -46,6 +46,8 @@ def test_config_validation():
         ExperimentConfig(Nt_eval=7)
     with pytest.raises(ValueError):
         ExperimentConfig(N=0)
+    with pytest.raises(ValueError, match="sample_mode"):
+        ExperimentConfig(sample_mode="random")
 
 
 @pytest.mark.parametrize("overrides, message", [

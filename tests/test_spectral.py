@@ -90,6 +90,79 @@ def test_design_matrix_rejects_outside_points():
         build_design_matrix(np.array([[0.5, 1.5]]), basis)
 
 
+def _design_points(kind, L1, L2):
+    if kind == "jittered":
+        return lhs_sample(200, L1, L2, seed=3)
+    if kind == "midpoint":
+        # stratum centres (i + 1/2) L / 4 are exact zeros of mode 8
+        return lhs_sample(4, L1, L2, seed=3, mode="midpoint")
+    # closed edges and corners, plus interior points
+    rng = np.random.default_rng(6)
+    pts = rng.random((40, 2)) * [L1, L2]
+    pts[:10, 0] = 0.0
+    pts[10:20, 0] = L1
+    pts[20:25, 1] = 0.0
+    pts[25:30, 1] = L2
+    return pts
+
+
+@pytest.mark.parametrize("kind", ["jittered", "midpoint", "edges"])
+@pytest.mark.parametrize("N", [1, 3, 8])
+def test_design_gram_and_rmatvec_match_dense(N, kind):
+    L1, L2 = 1.3, 0.7
+    pts = _design_points(kind, L1, L2)
+    Phi = build_design_matrix(pts, SpectralBasis(N, L1, L2))
+    A = Phi.values
+    assert Phi.shape == A.shape == (pts.shape[0], N * N)
+    if kind == "midpoint" and N == 8:
+        assert np.any(Phi.sx[:, 7] == 0.0) and np.any(Phi.sy[:, 7] == 0.0)
+    G_ref = A.T @ A
+    G = Phi.gram()
+    assert np.max(np.abs(G - G_ref)) <= 1e-13 * np.max(np.abs(G_ref))
+    u = np.random.default_rng(N).standard_normal(pts.shape[0])
+    b_ref = A.T @ u
+    b = Phi.rmatvec(u)
+    assert np.max(np.abs(b - b_ref)) <= 1e-13 * np.max(np.abs(b_ref))
+
+
+def test_ridge_design_matrix_matches_array():
+    pts = lhs_sample(300, 1.0, 1.0, seed=4)
+    Phi = build_design_matrix(pts, SpectralBasis(8))
+    u = WaveProblem(ic="polynomial").initial_condition()(pts[:, 0], pts[:, 1])
+    w_tab, fit_tab = ridge_fit_svd(Phi, u, 1e-3)
+    w_arr, fit_arr = ridge_fit_svd(Phi.values, u, 1e-3)
+    np.testing.assert_allclose(fit_tab.s, fit_arr.s, rtol=1e-10)
+    assert np.linalg.norm(w_tab - w_arr) <= 1e-10 * np.linalg.norm(w_arr)
+    for lam in default_lambda_grid():
+        assert effective_dof(fit_tab, lam) == pytest.approx(
+            effective_dof(fit_arr, lam), rel=1e-10)
+        assert gcv_score(fit_tab, u, lam) == pytest.approx(
+            gcv_score(fit_arr, u, lam), rel=1e-10)
+
+
+def test_projection_memo_follows_values():
+    pts = lhs_sample(150, 1.0, 1.0, seed=8)
+    Phi = build_design_matrix(pts, SpectralBasis(5))
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal(150)
+    other = rng.standard_normal(150)
+
+    def fresh(v, lam):
+        # a new handle has no projection yet, so it projects v itself
+        _, f = ridge_fit_svd(Phi, v.copy(), 1.0)
+        return gcv_score(f, v, lam)
+
+    _, fit = ridge_fit_svd(Phi, u, 1.0)
+    lam = 1e-3
+    expected_u, expected_other = fresh(u, lam), fresh(other, lam)
+    assert expected_u != expected_other
+    assert gcv_score(fit, u.copy(), lam) == expected_u
+    assert gcv_score(fit, other, lam) == expected_other
+    assert gcv_score(fit, u, lam) == expected_u
+    u[:] = other                      # changed in place after the fit
+    assert gcv_score(fit, u, lam) == expected_other
+
+
 # ---------------------------------------------------------------------------
 # ridge via SVD, against the dense normal-equations oracle
 
@@ -213,6 +286,22 @@ def test_gcv_closed_form():
     assert gcv_score(fit, u, 1.0) == pytest.approx((0.25 + 0.04) / 0.49)
 
 
+def test_gcv_rank_deficient_design():
+    # U^T u is Vt (A^T u) / s, so directions with s at round-off level
+    # must be dropped rather than divided by s
+    A = np.column_stack([np.ones(10), np.ones(10), np.arange(10.0)])
+    A = np.column_stack([A, A[:, 0] + A[:, 2]])      # rank 2 of 4
+    u = np.random.default_rng(0).standard_normal(10)
+    for lam in (1e-6, 1e-2, 1.0):
+        w, fit = ridge_fit_svd(A, u, lam)
+        H = A @ np.linalg.solve(A.T @ A + lam * np.eye(4), A.T)
+        resid = u - H @ u
+        gcv_ref = (resid @ resid) / (10 - np.trace(H)) ** 2
+        assert gcv_score(fit, u, lam) == pytest.approx(gcv_ref, rel=1e-10)
+        w_ref = np.linalg.solve(A.T @ A + lam * np.eye(4), A.T @ u)
+        assert np.linalg.norm(w - w_ref) <= 1e-7 * np.linalg.norm(w_ref)
+
+
 def test_gcv_requires_positive_lambda():
     _, fit = ridge_fit_svd(np.eye(3), np.ones(3), 1.0)
     with pytest.raises(ValueError):
@@ -304,6 +393,32 @@ def test_predict_grid_matches_pointwise():
     np.testing.assert_allclose(G, oracle, atol=1e-13)
     pointwise = [[predict(model, x, y, 0.4) for x in xs] for y in ys]
     np.testing.assert_allclose(G, pointwise, atol=1e-13)
+
+
+def test_predict_reuses_tables_only_for_equal_points():
+    prob = WaveProblem(ic="polynomial")
+    model = fit_spectral_model(prob, N=5, m=200, seed=0)
+    rng = np.random.default_rng(12)
+    x, y = rng.random(50), rng.random(50)
+
+    def oracle(t):
+        Wt = model.weights.reshape(5, 5) * np.cos(model.basis.omegas * t)
+        return np.einsum("pj,jk,pk->p", _sine_table(x, 5, 1.0), Wt,
+                         _sine_table(y, 5, 1.0))
+
+    first = predict(model, x, y, 0.3)
+    sx, sy = model.sine_tables(x, y)
+    np.testing.assert_array_equal(sx, _sine_table(x, 5, 1.0))
+    np.testing.assert_array_equal(sy, _sine_table(y, 5, 1.0))
+    np.testing.assert_array_equal(predict(model, x.copy(), y.copy(), 0.3), first)
+    assert model.sine_tables(x.copy(), y.copy())[0] is sx   # tables reused
+    np.testing.assert_allclose(predict(model, x, y, 0.8), oracle(0.8),
+                               atol=1e-15)
+    x[:] = rng.random(50)             # the same arrays, changed in place
+    y[::2] = 0.5
+    np.testing.assert_allclose(predict(model, x, y, 0.8), oracle(0.8),
+                               atol=1e-15)
+    assert model.sine_tables(x, y)[0] is not sx
 
 
 def test_predict_boundary_exactly_zero():
