@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: reference (build/cache the fine-grid reference), fit (spectral
-surrogate only), solve (matched FEM only), match (print the DoF-matched
-resolution), benchmark (full pipeline), snapshots (grid export).
+surrogate only), match (print the DoF-matched resolution), benchmark (full
+pipeline), snapshots (CSV grid export). A config, seed or DoF that cannot
+work is reported as a one-line usage error with exit status 2.
 """
 
 from __future__ import annotations
@@ -10,34 +11,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 
-from . import runner, spectral
+from . import runner
 from .dof_matching import match_cn_to_dof
 from .runner import ExperimentConfig
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json(Path(args.config).read_text())
-    else:
-        config = ExperimentConfig()
-    doc = asdict(config)
-    if getattr(args, "ic", None):
-        doc["ic"] = args.ic.replace("-", "_")
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "output", None):
-        doc["output_dir"] = args.output
-    if getattr(args, "paper_simpson", False):
-        doc["paper_simpson"] = True
-    if getattr(args, "paper_update", False):
-        doc["paper_update"] = True
-    config = ExperimentConfig(**doc)
-    if getattr(args, "paper_scale", False):
-        config = config.paper_scale()
-    return config
+    config = (ExperimentConfig.from_json(Path(args.config).read_text())
+              if args.config else ExperimentConfig())
+    overrides = {"ic": args.ic.replace("-", "_") if args.ic else None,
+                 "seed": args.seed, "output_dir": args.output or None,
+                 "paper_update": True if args.paper_update else None}
+    config = replace(config, **{k: v for k, v in overrides.items()
+                                if v is not None})
+    return config.paper_scale() if args.paper_scale else config
 
 
 def _add_common(p):
@@ -47,8 +37,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, help="sampling seed")
     p.add_argument("--paper-scale", action="store_true",
                    help="use the full 400x400 reference resolution")
-    p.add_argument("--paper-simpson", action="store_true",
-                   help="halved first Simpson weight, for comparison only")
     p.add_argument("--paper-update", action="store_true",
                    help="one-sided stiffness average in the matched FEM solve")
     p.add_argument("--output", help="output directory")
@@ -63,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_ in [
         ("reference", "build and cache the fine-grid reference solution"),
         ("fit", "fit the spectral surrogate and write the model JSON"),
-        ("solve", "run the DoF-matched Crank-Nicolson solve"),
         ("benchmark", "full benchmark; writes report CSV/JSON"),
         ("snapshots", "export snapshot grids for plotting"),
     ]:
@@ -77,15 +64,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "match":
-        r = match_cn_to_dof(args.dof, args.T)
+        try:
+            r = match_cn_to_dof(args.dof, args.T)
+        except ValueError as exc:
+            parser.error(str(exc))
         print(json.dumps({"n": r.n, "dt": r.dt, "Nt": r.Nt,
                           "dof_cn": r.dof_cn, "mismatch": r.mismatch}))
         return 0
 
-    config = _load_config(args)
+    try:
+        config = _load_config(args)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -101,14 +95,6 @@ def main(argv=None) -> int:
         path.write_text(model.to_json())
         print(f"fitted in {seconds:.3f}s: lambda={model.lam:.3e}, "
               f"edof={model.edof:.1f} -> {path}")
-        return 0
-
-    if args.command == "solve":
-        model, _ = runner.fit_surrogate(config)
-        match = match_cn_to_dof(model.edof, config.T)
-        traj, _, seconds = runner.solve_matched_fem(config, match)
-        print(f"matched n={match.n}, dt={match.dt:.5f}; solved "
-              f"{traj.Nt} steps in {seconds:.3f}s")
         return 0
 
     if args.command == "benchmark":

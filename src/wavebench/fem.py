@@ -117,18 +117,25 @@ class FemTrajectory:
         """
         grids = self.full_grids()
         m = self.mesh
-        T = self.dt * self.Nt
 
         def evaluate(x, y, t):
-            if t < -1e-12 or t > T * (1 + 1e-12):
-                raise ValueError(f"time {t} outside trajectory range [0, {T}]")
-            s = min(max(t / self.dt, 0.0), float(self.Nt))
-            k = min(int(s), self.Nt - 1)
-            theta = s - k
+            k, theta = _time_level(t, self.dt, self.Nt, self.dt * self.Nt)
             slice_ = (1.0 - theta) * grids[k] + theta * grids[k + 1]
             return p1_interpolate(slice_, m.L1, m.L2, x, y)
 
         return evaluate
+
+
+def _time_level(t: float, dt: float, Nt: int, T: float):
+    """Level k < Nt and weight theta in [0, 1] with t = (k + theta) dt.
+
+    Times within round-off of [0, T] are clamped to the stored levels.
+    """
+    if t < -1e-12 or t > T * (1 + 1e-12):
+        raise ValueError(f"time {t} outside [0, {T}]")
+    s = min(max(t / dt, 0.0), float(Nt))
+    k = min(int(s), Nt - 1)
+    return k, s - k
 
 
 def p1_interpolate(grid: np.ndarray, L1: float, L2: float, x, y) -> np.ndarray:

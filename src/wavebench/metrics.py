@@ -9,7 +9,7 @@ linear interpolation in time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,20 +65,16 @@ def _bilinear(grid: np.ndarray, cells):
             + s * r * grid[iy + 1, ix + 1])
 
 
-def simpson_weights(Nt: int, dt: float, paper_endpoint: bool = False) -> np.ndarray:
+def simpson_weights(Nt: int, dt: float) -> np.ndarray:
     """Composite Simpson 1/3 weights on Nt intervals (Nt even).
 
-    With `paper_endpoint` the first weight is halved, reproducing a variant
-    formula kept only for comparison; the standard weights are exact for
-    cubics.
+    The weights integrate cubics exactly.
     """
     if Nt < 2 or Nt % 2:
         raise ValueError("Simpson's rule needs an even interval count >= 2")
     w = np.ones(Nt + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    if paper_endpoint:
-        w[0] = 0.5
     return w * dt / 3.0
 
 
@@ -92,23 +88,13 @@ class ErrorReport:
     linf_rel: float
     ref_st_norm: float
     per_snapshot: np.ndarray
-    timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "st_l2": self.st_l2,
-            "st_rel": self.st_rel,
-            "linf_l2": self.linf_l2,
-            "linf_rel": self.linf_rel,
-            "ref_st_norm": self.ref_st_norm,
-            "per_snapshot": self.per_snapshot.tolist(),
-            "timings": self.timings,
-        }
+        return {**vars(self), "per_snapshot": self.per_snapshot.tolist()}
 
 
-def compute_error_report(solution, ref, mesh: Mesh, Nt_eval: int = 200,
-                         paper_simpson: bool = False,
-                         timings: dict | None = None) -> ErrorReport:
+def compute_error_report(solution, ref, mesh: Mesh,
+                         Nt_eval: int = 200) -> ErrorReport:
     """Full error report of a space-time field against the reference.
 
     `solution` is a callable (x, y, t) -> values and `ref` a
@@ -132,7 +118,7 @@ def compute_error_report(solution, ref, mesh: Mesh, Nt_eval: int = 200,
         # below zero
         E[n] = np.sqrt(max(w @ (sol_vals - ref_vals) ** 2, 0.0))
         R[n] = np.sqrt(max(w @ ref_vals**2, 0.0))
-    wt = simpson_weights(Nt_eval, times[1] - times[0], paper_simpson)
+    wt = simpson_weights(Nt_eval, times[1] - times[0])
     st = float(np.sqrt(wt @ E**2))
     ref_norm = float(np.sqrt(wt @ R**2))
     # The max-in-time error is normalized by the reference norm at the
@@ -149,5 +135,4 @@ def compute_error_report(solution, ref, mesh: Mesh, Nt_eval: int = 200,
         linf_rel=linf / ref_peak,
         ref_st_norm=ref_norm,
         per_snapshot=E,
-        timings=dict(timings or {}),
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from .fem import FemSystem, cn_steps, interior_values
+from .fem import FemSystem, _time_level, cn_steps, interior_values
 from .mesh import build_structured_mesh
 from .problem import WaveProblem
 
@@ -59,12 +59,7 @@ class ReferenceSolution:
 
     def at_time(self, t: float) -> np.ndarray:
         """Nodal slice at time t by linear interpolation between levels."""
-        T = self.problem.T
-        if t < -1e-12 or t > T * (1 + 1e-12):
-            raise ValueError(f"time {t} outside [0, {T}]")
-        s = min(max(t / self.dt_ref, 0.0), float(self.Nt_ref))
-        k = min(int(s), self.Nt_ref - 1)
-        theta = s - k
+        k, theta = _time_level(t, self.dt_ref, self.Nt_ref, self.problem.T)
         if theta == 0.0:
             return np.asarray(self.values[k])
         return (1.0 - theta) * np.asarray(self.values[k]) \
@@ -78,14 +73,8 @@ def _header_bytes(ref_nx, ref_ny, Nt_ref, problem, dt_ref) -> bytes:
 
 def write_reference(ref: ReferenceSolution, path) -> None:
     """Write a complete reference in the WBEN format (atomic)."""
-    path = Path(path)
-
-    def slices():
-        for k in range(ref.Nt_ref + 1):
-            yield np.ascontiguousarray(ref.values[k], dtype="<f8")
-
-    _stream_write(path, ref.grid_nx, ref.grid_ny, ref.Nt_ref,
-                  ref.problem, ref.dt_ref, slices())
+    _stream_write(Path(path), ref.grid_nx, ref.grid_ny, ref.Nt_ref,
+                  ref.problem, ref.dt_ref, iter(ref.values))
 
 
 def _stream_write(path: Path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, asdict, fields as dc_fields
 from pathlib import Path
@@ -42,18 +43,22 @@ class ExperimentConfig:
     N: int = 40
     m: int = 5000
     seed: int = 0
-    sample_mode: str = "jittered"
     ref_nx: int = 200
     ref_ny: int = 200
     dt_ref: float | None = None          # default 1 / (2 ref_nx)
     Nt_eval: int = 200
-    paper_simpson: bool = False
     paper_update: bool = False
     snapshot_times: list = field(default_factory=lambda: [0.0, 0.25, 0.5, 0.75, 1.0])
     output_dir: str = "wavebench_out"
 
     def __post_init__(self):
         self.problem()                       # validates domain, c, T and ic
+        for name in ("N", "m", "seed", "ref_nx", "ref_ny", "Nt_eval"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.ref_nx < 1 or self.ref_ny < 1:
             raise ValueError("ref_nx and ref_ny must be at least 1")
         if self.dt_ref is None:
@@ -69,9 +74,6 @@ class ExperimentConfig:
             raise ValueError("Nt_eval must be even and >= 2")
         if self.N < 1 or self.m < 1:
             raise ValueError("N and m must be positive")
-        if self.sample_mode not in spectral.SAMPLE_MODES:
-            raise ValueError(f"unknown sample_mode {self.sample_mode!r}; "
-                             f"expected one of {spectral.SAMPLE_MODES}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -165,9 +167,8 @@ def get_reference(config: ExperimentConfig, cache=True):
 def fit_surrogate(config: ExperimentConfig) -> tuple[spectral.SpectralModel, float]:
     """Fit the spectral model (including the GCV search), timed."""
     t0 = time.perf_counter()
-    model = spectral.fit_spectral_model(
-        config.problem(), config.N, config.m, seed=config.seed,
-        sample_mode=config.sample_mode)
+    model = spectral.fit_spectral_model(config.problem(), config.N, config.m,
+                                        seed=config.seed)
     return model, time.perf_counter() - t0
 
 
@@ -198,12 +199,10 @@ def run_benchmark(config: ExperimentConfig, ref=None,
 
     ep_field = lambda x, y, t: spectral.predict(model, x, y, t)
     cn_field = traj.field()
-    ep_report = metrics.compute_error_report(
-        ep_field, ref, eval_mesh, config.Nt_eval, config.paper_simpson,
-        timings={"fit_seconds": fit_s})
-    cn_report = metrics.compute_error_report(
-        cn_field, ref, eval_mesh, config.Nt_eval, config.paper_simpson,
-        timings={"solve_seconds": solve_s})
+    ep_report = metrics.compute_error_report(ep_field, ref, eval_mesh,
+                                             config.Nt_eval)
+    cn_report = metrics.compute_error_report(cn_field, ref, eval_mesh,
+                                             config.Nt_eval)
 
     result = BenchmarkResult(
         config=config, model=model, match=match, trajectory=traj,
@@ -227,18 +226,17 @@ def emit_snapshots(config: ExperimentConfig, model, traj, ref,
 
     Per time: the reference on its native grid, the FEM solution
     interpolated to the reference grid, and the surrogate on a 50 x 50
-    grid. Each snapshot is written both as CSV (x, y, value) and in the
-    binary grid format. Boundary rows and columns are exact zeros.
+    grid. Each snapshot is written as CSV (x, y, value). Boundary rows and
+    columns are exact zeros.
     """
     out = Path(out_dir or config.output_dir) / "snapshots"
     out.mkdir(parents=True, exist_ok=True)
-    problem = config.problem()
     written = []
 
-    ref_xs = np.linspace(0.0, problem.L1, ref.grid_nx + 1)
-    ref_ys = np.linspace(0.0, problem.L2, ref.grid_ny + 1)
-    ep_xs = np.linspace(0.0, problem.L1, 51)
-    ep_ys = np.linspace(0.0, problem.L2, 51)
+    ref_xs = np.linspace(0.0, config.L1, ref.grid_nx + 1)
+    ref_ys = np.linspace(0.0, config.L2, ref.grid_ny + 1)
+    ep_xs = np.linspace(0.0, config.L1, 51)
+    ep_ys = np.linspace(0.0, config.L2, 51)
     cn_field = traj.field()
     ep_field = lambda x, y, t: spectral.predict(model, x, y, t)
 
@@ -258,14 +256,9 @@ def emit_snapshots(config: ExperimentConfig, model, traj, ref,
             grid[-1, :] = 0.0
             grid[:, 0] = 0.0
             grid[:, -1] = 0.0
-            stem = f"{config.ic}_{name}_t{t:.2f}"
-            _write_grid_csv(out / f"{stem}.csv", grid, xs, ys)
-            snap = reference.ReferenceSolution(
-                problem, xs.size - 1, ys.size - 1, problem.T, 0,
-                grid[None, :, :])
-            reference.write_reference(snap, out / f"{stem}.wben")
-            written.append(out / f"{stem}.csv")
-            written.append(out / f"{stem}.wben")
+            path = out / f"{config.ic}_{name}_t{t:.2f}.csv"
+            _write_grid_csv(path, grid, xs, ys)
+            written.append(path)
     return written
 
 

@@ -45,8 +45,6 @@ __all__ = [
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-SAMPLE_MODES = ("jittered", "midpoint")
-
 # Largest eigenvalue ratio of Phi^T Phi accepted from the Gram route, i.e.
 # cond(Phi) <= 1e3. Forming the Gram matrix squares the condition number,
 # so its smallest eigenvalues carry a relative error of about
@@ -135,26 +133,21 @@ class DesignMatrix:
         return ((self.sx.T * u) @ self.sy).ravel()
 
 
-def lhs_sample(m: int, L1: float, L2: float, seed: int = 0,
-               mode: str = "jittered") -> np.ndarray:
-    """Latin hypercube sample of m points in (0, L1) x (0, L2).
+def lhs_sample(m: int, L1: float, L2: float, seed: int = 0) -> np.ndarray:
+    """Jittered Latin hypercube sample of m points in (0, L1) x (0, L2).
 
     Each coordinate is split into m equal strata, each containing exactly
-    one point. Midpoint mode places points at stratum centers; jittered
-    mode draws uniformly within each stratum. The pairing between
-    coordinates is a seeded random permutation, so the same (m, seed, mode)
-    always yields the same point set.
+    one point drawn uniformly within it. The pairing between coordinates
+    is a seeded random permutation, so the same (m, seed) always yields
+    the same point set.
     """
     if m < 1:
         raise ValueError("sample count must be at least 1")
-    if mode not in SAMPLE_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     pts = np.empty((m, 2))
     for dim, L in enumerate((L1, L2)):
         strata = rng.permutation(m)
-        offsets = np.full(m, 0.5) if mode == "midpoint" else rng.random(m)
-        pts[:, dim] = (strata + offsets) / m * L
+        pts[:, dim] = (strata + rng.random(m)) / m * L
     return pts
 
 
@@ -384,14 +377,13 @@ class SpectralModel:
         return cls(basis, w, doc["lambda"], doc["edof"], {"seed": doc.get("seed")})
 
 
-def fit_spectral_model(problem, N: int, m: int, seed: int = 0,
-                       sample_mode: str = "jittered") -> SpectralModel:
+def fit_spectral_model(problem, N: int, m: int, seed: int = 0) -> SpectralModel:
     """Full fitting pipeline: sample, design matrix, SVD, GCV, weights.
 
     The ridge parameter is searched over `default_lambda_grid()`.
     """
     basis = SpectralBasis(N, problem.L1, problem.L2, problem.c)
-    pts = lhs_sample(m, problem.L1, problem.L2, seed=seed, mode=sample_mode)
+    pts = lhs_sample(m, problem.L1, problem.L2, seed=seed)
     Phi = build_design_matrix(pts, basis)
     u = np.asarray(problem.initial_condition()(pts[:, 0], pts[:, 1]), dtype=float)
     _, fit = ridge_fit_svd(Phi, u, 1.0)   # keeps the factorization handle
@@ -402,7 +394,6 @@ def fit_spectral_model(problem, N: int, m: int, seed: int = 0,
         "m": m,
         "gcv_score": score,
         "residual_norm": float(np.sqrt(fit.rss(u, lam))),
-        "sample_mode": sample_mode,
     }
     return SpectralModel(basis, w, lam, edof, diagnostics)
 

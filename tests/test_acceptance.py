@@ -103,7 +103,7 @@ def _lambda_check(config: ExperimentConfig, selected: float,
     problem = config.problem()
     basis = spectral.SpectralBasis(config.N, problem.L1, problem.L2, problem.c)
     pts = spectral.lhs_sample(config.m, problem.L1, problem.L2,
-                              seed=config.seed, mode=config.sample_mode)
+                              seed=config.seed)
     Phi = spectral.build_design_matrix(pts, basis)
     u = problem.initial_condition()(pts[:, 0], pts[:, 1])
     _, fit = spectral.ridge_fit_svd(Phi, u, 1.0)

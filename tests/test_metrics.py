@@ -111,9 +111,6 @@ def test_simpson_exact_on_cubics():
 def test_simpson_weight_layout():
     w = simpson_weights(4, 0.3)
     np.testing.assert_allclose(w, 0.1 * np.array([1.0, 4.0, 2.0, 4.0, 1.0]))
-    wp = simpson_weights(4, 0.3, paper_endpoint=True)
-    assert wp[0] == pytest.approx(0.05)
-    np.testing.assert_allclose(wp[1:], w[1:])
 
 
 def test_simpson_validation():

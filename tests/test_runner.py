@@ -35,8 +35,10 @@ def test_config_json_round_trip():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config keys"):
-        ExperimentConfig.from_json('{"ic": "polynomial", "bogus": 1}')
+    # paper_simpson and sample_mode are gone: one Simpson rule, one LHS rule
+    for key in ("bogus", "paper_simpson", "sample_mode"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentConfig.from_json(json.dumps({"ic": "polynomial", key: 1}))
 
 
 def test_config_validation():
@@ -46,8 +48,20 @@ def test_config_validation():
         ExperimentConfig(Nt_eval=7)
     with pytest.raises(ValueError):
         ExperimentConfig(N=0)
-    with pytest.raises(ValueError, match="sample_mode"):
-        ExperimentConfig(sample_mode="random")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"N": 4.0}, "N must be an integer"),
+    ({"m": 120.5}, "m must be an integer"),
+    ({"Nt_eval": 10.0}, "Nt_eval must be an integer"),
+    ({"ref_nx": 32.0, "ref_ny": 32}, "ref_nx must be an integer"),
+    ({"ref_nx": 32, "ref_ny": 32.0}, "ref_ny must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be non-negative"),
+], ids=["N", "m", "Nt_eval", "ref_nx", "ref_ny", "seed_float", "seed_negative"])
+def test_config_rejects_non_integer_counts(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**overrides)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -201,13 +215,13 @@ def test_emit_snapshots(small_result, tmp_path):
     ref = get_reference(config)
     files = emit_snapshots(config, result.model, result.trajectory, ref,
                            out_dir=tmp_path)
-    # 5 times x 3 methods x 2 formats
-    assert len(files) == 30
+    # 5 times x 3 methods, CSV only
+    assert len(files) == 15
     for path in files:
-        assert path.exists()
-    csv_files = [p for p in files if p.suffix == ".csv"]
+        assert path.exists() and path.suffix == ".csv"
+    assert not list((tmp_path / "snapshots").glob("*.wben"))
     grid = {}
-    with open(csv_files[0]) as f:
+    with open(files[0]) as f:
         for row in csv.DictReader(f):
             grid[(float(row["x"]), float(row["y"]))] = float(row["value"])
     xs = sorted({k[0] for k in grid})
@@ -264,3 +278,17 @@ def test_cli_ic_and_seed_overrides(tmp_path, capsys):
 def test_cli_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["match", "0"], "effective DoF must be finite and at least 1"),
+    (["fit", "--seed", "-1", "--output", "{tmp}"], "seed must be non-negative"),
+    (["fit", "--config", "{tmp}/config.json"], "N must be an integer"),
+    (["solve"], "invalid choice: 'solve'"),
+], ids=["match_0", "negative_seed", "float_N_config", "no_solve"])
+def test_cli_bad_input_is_a_usage_error(argv, message, tmp_path, capsys):
+    (tmp_path / "config.json").write_text(json.dumps({"N": 4.0}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
