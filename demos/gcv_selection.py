@@ -1,10 +1,11 @@
 """Fitting the spectral surrogate and watching GCV pick the ridge weight.
 
 The surrogate's coefficients come from a ridge regression of the sampled
-initial condition onto the sine basis; generalized cross-validation
-scores every candidate ridge parameter from one factorization of the
-design matrix. This script prints a slice of the GCV curve around the winning
-lambda and the resulting effective degrees of freedom.
+initial condition onto the sine basis. One ridge fit factors the design
+matrix and projects the samples onto it once; generalized cross-validation
+then scores every candidate ridge parameter from that fit alone. This
+script prints a slice of the GCV curve around the winning lambda and the
+resulting effective degrees of freedom.
 
 Run:  python3 demos/gcv_selection.py
 """
@@ -23,18 +24,18 @@ def main():
     pts = spectral.lhs_sample(m, problem.L1, problem.L2, seed=0)
     Phi = spectral.build_design_matrix(pts, basis)
     u = problem.initial_condition()(pts[:, 0], pts[:, 1])
-    _, fit = spectral.ridge_fit_svd(Phi, u, 1.0)
+    fit = spectral.ridge_fit_svd(Phi, u)
 
     grid = spectral.default_lambda_grid()
-    scores = np.array([spectral.gcv_score(fit, u, lam) for lam in grid])
+    scores = np.array([fit.gcv(lam) for lam in grid])
     best = int(np.argmin(scores))
 
     print("      lambda        GCV score       edof")
     for i in range(max(best - 4, 0), min(best + 5, grid.size)):
         mark = "  <-- grid minimum" if i == best else ""
-        print(f"{grid[i]:12.3e}  {scores[i]:14.6e}  {spectral.effective_dof(fit, grid[i]):9.1f}{mark}")
+        print(f"{grid[i]:12.3e}  {scores[i]:14.6e}  {fit.edof(grid[i]):9.1f}{mark}")
 
-    lam, edof, score = spectral.select_lambda_gcv(fit, u, grid)
+    lam, edof, score = spectral.select_lambda_gcv(fit, grid)
     print(f"\nafter golden-section refinement: lambda = {lam:.3e}, "
           f"edof = {edof:.1f}, score = {score:.6e}")
 

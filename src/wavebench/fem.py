@@ -5,7 +5,7 @@ Element matrices: mass A_e/12 * [[2,1,1],[1,2,1],[1,1,2]] and stiffness
 M U'' + c^2 K U = 0 over interior unknowns is advanced with the implicit
 update (M + a K) U^{n+1} = 2 M U^n - (M + a K) U^{n-1}, a = c^2 dt^2 / 2,
 whose left-hand matrix is factorized once and reused every step; see
-`cn_steps` for the scheme variants.
+`cn_steps` for the update behind the published tables.
 """
 
 from __future__ import annotations
@@ -156,34 +156,24 @@ def p1_interpolate(grid: np.ndarray, L1: float, L2: float, x, y) -> np.ndarray:
 
 
 def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
-             stats: dict | None = None, scheme: str = "conserving",
-             start: str = "taylor"):
+             stats: dict | None = None, paper_update: bool = False):
     """Generator of snapshots U^0, U^1, ... of the implicit wave update.
 
-    The default scheme averages the stiffness term over the outer levels,
+    By default the stiffness term is averaged over the outer levels,
     M (U^{n+1} - 2 U^n + U^{n-1}) / dt^2 + c^2 K (U^{n+1} + U^{n-1}) / 2 = 0,
-    i.e. (M + a K) U^{n+1} = 2 M U^n - (M + a K) U^{n-1}. This form conserves
-    the discrete energy exactly and is second-order accurate.
+    i.e. (M + a K) U^{n+1} = 2 M U^n - (M + a K) U^{n-1}, launched with the
+    zero-velocity Taylor step U^1 = U^0 + (dt^2/2) M^{-1} (-c^2 K U^0). This
+    conserves the discrete energy exactly and is second-order accurate.
 
-    scheme="dissipative" uses (M + a K) U^{n+1} = (2M - a K) U^n - M U^{n-1},
-    which averages the stiffness term over (U^n, U^{n+1}) instead. That
-    one-sided average damps every mode by 1/sqrt(1 + a w_h^2) per step,
-    which shows up as amplitude decay at coarse resolutions; it is kept for
-    reproducing published benchmark figures and for comparison runs.
+    paper_update=True is the update behind the published tables:
+    (M + a K) U^{n+1} = (2M - a K) U^n - M U^{n-1}, which averages the
+    stiffness term over (U^n, U^{n+1}) and so damps every mode by
+    1/sqrt(1 + a w_h^2) per step, launched with U^1 = U^0 (a first-order
+    start).
 
-    start="taylor" (default) launches with the zero-velocity Taylor step
-    U^1 = U^0 + (dt^2/2) M^{-1} (-c^2 K U^0), which preserves the global
-    second order of the conserving scheme. start="hold" uses the naive
-    U^1 = U^0, which degrades the start to first order (again kept for
-    reproducing published figures).
-
-    Either way the left-hand matrix is factorized once, before the first
-    step.
+    The left-hand matrix is factorized once, before the first step; M is
+    factorized as well only for the Taylor start.
     """
-    if scheme not in ("conserving", "dissipative"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if start not in ("taylor", "hold"):
-        raise ValueError(f"unknown start {start!r}")
     if stats is None:
         stats = {}
     stats.update({"factorizations": 0, "solves": 0, "spmv": 0})
@@ -193,25 +183,22 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
     A = (sys.M + alpha * sys.K).tocsc()
     try:
         solve_A = spla.factorized(A)
-        solve_M = spla.factorized(sys.M.tocsc())
+        if not paper_update:
+            solve_M = spla.factorized(sys.M.tocsc())
     except RuntimeError as exc:     # pragma: no cover - valid meshes never hit this
         raise ArithmeticError(
             f"factorization failed (n={sys.M.shape[0]}, dt={dt}): {exc}") from exc
-    stats["factorizations"] = 2
+    stats["factorizations"] = 1 if paper_update else 2
 
-    if scheme == "conserving":
-        B = (2.0 * sys.M).tocsr()
-        C = A.tocsr()
-    else:
-        B = (2.0 * sys.M - alpha * sys.K).tocsr()
-        C = sys.M
     prev = u0
-    if start == "taylor":
+    if paper_update:
+        B, C = (2.0 * sys.M - alpha * sys.K).tocsr(), sys.M
+        curr = u0.copy()
+    else:
+        B, C = (2.0 * sys.M).tocsr(), A.tocsr()
         curr = u0 - (dt**2 / 2.0) * sys.c**2 * solve_M(sys.K @ u0)
         stats["solves"] += 1
         stats["spmv"] += 1
-    else:
-        curr = u0.copy()
     while True:
         yield curr
         rhs = B @ curr - C @ prev
@@ -221,8 +208,8 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
 
 
 def cn_solve(sys: FemSystem, u0_nodal: np.ndarray, dt: float, Nt: int,
-             scheme: str = "conserving", start: str = "taylor") -> FemTrajectory:
-    """Advance the semi-discrete wave system; see `cn_steps` for the scheme."""
+             paper_update: bool = False) -> FemTrajectory:
+    """Advance the semi-discrete wave system; see `cn_steps` for the update."""
     if dt <= 0:
         raise ValueError("time step must be positive")
     if Nt < 1:
@@ -238,7 +225,7 @@ def cn_solve(sys: FemSystem, u0_nodal: np.ndarray, dt: float, Nt: int,
         snaps[:] = 0.0
         return FemTrajectory(snaps, dt, Nt, sys.mesh, stats)
 
-    steps = cn_steps(sys, u0, dt, stats, scheme, start)
+    steps = cn_steps(sys, u0, dt, stats, paper_update)
     for k in range(Nt + 1):
         snaps[k] = next(steps)
     steps.close()

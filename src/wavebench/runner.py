@@ -67,9 +67,17 @@ class ExperimentConfig:
             raise ValueError("dt_ref must be smaller than the reference grid "
                              "spacing")
         reference.step_count(self.T, self.dt_ref)
-        bad = [t for t in self.snapshot_times if not 0.0 <= t <= self.T]
+        times = self.snapshot_times
+        if not (isinstance(times, list)
+                and all(isinstance(t, numbers.Real) for t in times)):
+            raise ValueError(f"snapshot_times must be a list of numbers, got {times!r}")
+        bad = [t for t in times if not 0.0 <= t <= self.T]
         if bad:
             raise ValueError(f"snapshot_times {bad} outside [0, T={self.T}]")
+        labels = [_time_label(t) for t in times]
+        clash = [t for t, label in zip(times, labels) if labels.count(label) > 1]
+        if clash:
+            raise ValueError(f"snapshot_times {clash} share snapshot file names")
         if self.Nt_eval < 2 or self.Nt_eval % 2:
             raise ValueError("Nt_eval must be even and >= 2")
         if self.N < 1 or self.m < 1:
@@ -78,6 +86,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, not {type(doc).__name__}")
         known = {f.name for f in dc_fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -150,6 +160,10 @@ class BenchmarkResult:
         }
 
 
+def _time_label(t) -> str:
+    return f"t{t:.2f}"
+
+
 def _fmt(v):
     if isinstance(v, float):
         return f"{v:.12g}"
@@ -179,11 +193,7 @@ def solve_matched_fem(config: ExperimentConfig, match):
     t0 = time.perf_counter()
     system = fem.FemSystem.build(mesh, problem.c)
     u0 = fem.interior_values(problem.initial_condition(), mesh)
-    if config.paper_update:
-        traj = fem.cn_solve(system, u0, match.dt, match.Nt,
-                            scheme="dissipative", start="hold")
-    else:
-        traj = fem.cn_solve(system, u0, match.dt, match.Nt)
+    traj = fem.cn_solve(system, u0, match.dt, match.Nt, config.paper_update)
     return traj, mesh, time.perf_counter() - t0
 
 
@@ -256,7 +266,7 @@ def emit_snapshots(config: ExperimentConfig, model, traj, ref,
             grid[-1, :] = 0.0
             grid[:, 0] = 0.0
             grid[:, -1] = 0.0
-            path = out / f"{config.ic}_{name}_t{t:.2f}.csv"
+            path = out / f"{config.ic}_{name}_{_time_label(t)}.csv"
             _write_grid_csv(path, grid, xs, ys)
             written.append(path)
     return written

@@ -14,7 +14,8 @@ Gram matrix gives the singular values and right singular vectors when Phi
 is well conditioned (the LHS sine design is nearly orthogonal); otherwise
 Phi is formed and factored by a direct SVD. The left singular vectors U
 are not kept: every ridge and GCV quantity needs only U^T u, which is
-Vt (Phi^T u) / s, projected once per observation vector.
+Vt (Phi^T u) / s. `ridge_fit_svd` forms it once, so a `RidgeSVD` is the
+fit of one sample vector and its GCV search takes no further input.
 
 Weight / column order: (j, k) lexicographic with j outer, i.e. column
 (j-1)*N + (k-1) holds mode (j, k).
@@ -35,9 +36,7 @@ __all__ = [
     "lhs_sample",
     "build_design_matrix",
     "ridge_fit_svd",
-    "gcv_score",
     "select_lambda_gcv",
-    "effective_dof",
     "default_lambda_grid",
     "fit_spectral_model",
     "predict",
@@ -167,116 +166,80 @@ def build_design_matrix(points: np.ndarray, basis: SpectralBasis) -> DesignMatri
 
 @dataclass(frozen=True)
 class RidgeSVD:
-    """Factorization Phi = U diag(s) Vt (s descending) of the design, without U.
+    """Ridge fit of one observation vector u through Phi = U diag(s) Vt.
 
-    The ridge weights, residual and GCV score need U only through the
-    projection a = U^T u, which equals Vt (Phi^T u) / s. It is computed once
-    per observation vector: the last one is kept with a private copy of u,
-    and a later call with an equal-valued u reuses it, so the GCV search
-    projects once. Any other u is projected from `design`, which is held by
-    reference.
+    U is not kept: the weights, residual and GCV score need it only through
+    the projection a = U^T u = Vt (Phi^T u) / s, which `ridge_fit_svd` forms
+    once, together with u^T u and the sample count m.
     """
 
     s: np.ndarray
     Vt: np.ndarray
-    design: DesignMatrix | np.ndarray
-    _memo: tuple = field(default=(), init=False, repr=False, compare=False)
+    a: np.ndarray
+    uu: float
+    m: int
 
-    @property
-    def m(self) -> int:
-        return self.design.shape[0]
-
-    def project(self, u: np.ndarray) -> np.ndarray:
-        """a = U^T u; directions with s at round-off level get a = 0."""
-        u = np.asarray(u, dtype=float)
-        last = self._memo
-        if last and np.array_equal(last[0], u):
-            return last[1]
-        Phi = self.design
-        b = self.Vt @ (Phi.rmatvec(u) if isinstance(Phi, DesignMatrix) else Phi.T @ u)
+    def coefficients(self, lam: float) -> np.ndarray:
+        if lam < 0:
+            raise ValueError("ridge parameter must be nonnegative")
         tol = max(self.m, self.Vt.shape[1]) * np.finfo(float).eps * self.s[0]
-        a = np.divide(b, self.s, out=np.zeros_like(b), where=self.s > tol)
-        object.__setattr__(self, "_memo", (u.copy(), a))
-        return a
-
-    def coefficients(self, u: np.ndarray, lam: float) -> np.ndarray:
-        a = self.project(u)
-        return self.Vt.T @ (self.s / (self.s**2 + lam) * a)
-
-    def rss(self, u: np.ndarray, lam: float) -> float:
-        """Residual sum of squares ||u - Phi w_lam||^2 via the spectral filter."""
-        a = self.project(u)
-        out_of_range = float(u @ u - a @ a)      # component outside col(Phi)
-        shrunk = (lam / (self.s**2 + lam)) * a
-        return max(out_of_range, 0.0) + float(shrunk @ shrunk)
-
-    def edof(self, lam: float) -> float:
-        return float(np.sum(self.s**2 / (self.s**2 + lam)))
-
-
-def _factor(Phi: DesignMatrix | np.ndarray):
-    """Singular values and Vt of Phi, via eigh(Phi^T Phi) when possible.
-
-    Phi^T Phi = V diag(s^2) V^T gives s and V. A wide design, a
-    non-positive eigenvalue or a ratio above `_GRAM_MAX_EV_RATIO` takes
-    `np.linalg.svd` of the dense design instead.
-    """
-    dense = not isinstance(Phi, DesignMatrix)
-    m, n = Phi.shape
-    if m >= n:
-        ev, V = np.linalg.eigh(Phi.T @ Phi if dense else Phi.gram())  # ascending
-        if ev[0] > 0 and ev[-1] <= _GRAM_MAX_EV_RATIO * ev[0]:
-            return np.sqrt(ev[::-1]), V[:, ::-1].T
-    _, s, Vt = np.linalg.svd(Phi if dense else Phi.values, full_matrices=False)
-    return s, Vt
-
-
-def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray, lam: float):
-    """Solve the ridge problem through a factorization of the design.
-
-    s and Vt come from `eigh` of the Gram matrix Phi^T Phi when cond(Phi)
-    is at most 1e3, else from `np.linalg.svd`. A `DesignMatrix` supplies
-    Phi^T Phi and Phi^T u from its tables; a plain array uses A^T A and
-    A^T u. Returns (weights, handle); the handle retains the factorization
-    and the projection of u, so that GCV evaluation over many ridge
-    parameters costs O(rank) each.
-    """
-    if isinstance(Phi, DesignMatrix):
-        tables = (Phi.sx, Phi.sy)
-    else:
-        Phi = np.asarray(Phi, dtype=float)
-        tables = (Phi,)
-    u = np.asarray(u, dtype=float)
-    if lam < 0:
-        raise ValueError("ridge parameter must be nonnegative")
-    if not (all(np.all(np.isfinite(t)) for t in tables) and np.all(np.isfinite(u))):
-        raise ValueError("non-finite entries in the ridge system")
-    if u.shape != (Phi.shape[0],):
-        raise ValueError("observation vector length does not match the design")
-    s, Vt = _factor(Phi)
-    if lam == 0.0:
-        tol = max(Phi.shape) * np.finfo(float).eps * s[0]
-        if s[-1] <= tol:
+        if lam == 0 and self.s[-1] <= tol:
             raise np.linalg.LinAlgError(
                 "design matrix is rank deficient; a positive ridge parameter "
                 "is required")
-    fit = RidgeSVD(s, Vt, Phi)
-    return fit.coefficients(u, lam), fit
+        return self.Vt.T @ (self.s / (self.s**2 + lam) * self.a)
+
+    def rss(self, lam: float) -> float:
+        """Residual sum of squares ||u - Phi w_lam||^2 via the spectral filter."""
+        out_of_range = float(self.uu - self.a @ self.a)   # outside col(Phi)
+        shrunk = (lam / (self.s**2 + lam)) * self.a
+        return max(out_of_range, 0.0) + float(shrunk @ shrunk)
+
+    def edof(self, lam: float) -> float:
+        """Trace of the hat matrix, sum of s_i^2 / (s_i^2 + lam)."""
+        if lam < 0:
+            raise ValueError("ridge parameter must be nonnegative")
+        return float(np.sum(self.s**2 / (self.s**2 + lam)))
+
+    def gcv(self, lam: float) -> float:
+        """GCV(lam) = ||u - Phi w_lam||^2 / (m - tr(H_lam))^2."""
+        if lam <= 0:
+            raise ValueError("GCV requires a strictly positive ridge parameter")
+        return self.rss(lam) / (self.m - self.edof(lam)) ** 2
 
 
-def gcv_score(fit: RidgeSVD, u: np.ndarray, lam: float) -> float:
-    """GCV(lam) = ||u - Phi w_lam||^2 / (m - tr(H_lam))^2."""
-    if lam <= 0:
-        raise ValueError("GCV requires a strictly positive ridge parameter")
+def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray) -> RidgeSVD:
+    """Factor the design Phi and project the observations u onto it, once.
+
+    s and Vt come from `eigh` of the Gram matrix Phi^T Phi when Phi is tall
+    and cond(Phi) is at most 1e3, else from `np.linalg.svd`. A `DesignMatrix`
+    supplies Phi^T Phi and Phi^T u from its tables; a plain array uses A^T A
+    and A^T u. Directions with s at round-off level get a = 0.
+    """
+    if isinstance(Phi, DesignMatrix):
+        tables, gram, rmatvec = (Phi.sx, Phi.sy), Phi.gram, Phi.rmatvec
+        dense = lambda: Phi.values
+    else:
+        Phi = np.asarray(Phi, dtype=float)
+        tables, gram, rmatvec = (Phi,), lambda: Phi.T @ Phi, lambda v: Phi.T @ v
+        dense = lambda: Phi
     u = np.asarray(u, dtype=float)
-    return fit.rss(u, lam) / (fit.m - fit.edof(lam)) ** 2
-
-
-def effective_dof(fit: RidgeSVD, lam: float) -> float:
-    """Trace of the hat matrix, sum of s_i^2 / (s_i^2 + lam)."""
-    if lam < 0:
-        raise ValueError("ridge parameter must be nonnegative")
-    return fit.edof(lam)
+    if not (all(np.all(np.isfinite(t)) for t in tables) and np.all(np.isfinite(u))):
+        raise ValueError("non-finite entries in the ridge system")
+    m, n = Phi.shape
+    if u.shape != (m,):
+        raise ValueError("observation vector length does not match the design")
+    s = None
+    if m >= n:
+        ev, V = np.linalg.eigh(gram())                      # ascending
+        if ev[0] > 0 and ev[-1] <= _GRAM_MAX_EV_RATIO * ev[0]:
+            s, Vt = np.sqrt(ev[::-1]), V[:, ::-1].T
+    if s is None:
+        _, s, Vt = np.linalg.svd(dense(), full_matrices=False)
+    b = Vt @ rmatvec(u)
+    tol = max(m, n) * np.finfo(float).eps * s[0]
+    a = np.divide(b, s, out=np.zeros_like(b), where=s > tol)
+    return RidgeSVD(s, Vt, a, float(u @ u), m)
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -284,7 +247,7 @@ def default_lambda_grid() -> np.ndarray:
     return np.logspace(-12.0, 2.0, 14 * 8 + 1)
 
 
-def select_lambda_gcv(fit: RidgeSVD, u: np.ndarray, grid=None):
+def select_lambda_gcv(fit: RidgeSVD, grid=None):
     """Minimize the GCV score over a grid, then refine by golden section.
 
     Ties on the grid break toward larger (more regularizing) values. The
@@ -297,9 +260,8 @@ def select_lambda_gcv(fit: RidgeSVD, u: np.ndarray, grid=None):
     if grid.size == 0 or np.any(grid <= 0):
         raise ValueError("grid must be nonempty with positive entries")
     grid = np.sort(grid)
-    u = np.asarray(u, dtype=float)
 
-    scores = np.array([gcv_score(fit, u, lam) for lam in grid])
+    scores = np.array([fit.gcv(lam) for lam in grid])
     i = grid.size - 1 - int(np.argmin(scores[::-1]))   # last (largest-lam) min
     best_lam, best_score = grid[i], scores[i]
 
@@ -309,19 +271,19 @@ def select_lambda_gcv(fit: RidgeSVD, u: np.ndarray, grid=None):
         a, b = lo, hi
         x1 = b - _GOLDEN * (b - a)
         x2 = a + _GOLDEN * (b - a)
-        f1 = gcv_score(fit, u, np.exp(x1))
-        f2 = gcv_score(fit, u, np.exp(x2))
+        f1 = fit.gcv(np.exp(x1))
+        f2 = fit.gcv(np.exp(x2))
         for _ in range(60):
             if b - a < 1e-4:
                 break
             if f1 > f2:
                 a, x1, f1 = x1, x2, f2
                 x2 = a + _GOLDEN * (b - a)
-                f2 = gcv_score(fit, u, np.exp(x2))
+                f2 = fit.gcv(np.exp(x2))
             else:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - _GOLDEN * (b - a)
-                f1 = gcv_score(fit, u, np.exp(x1))
+                f1 = fit.gcv(np.exp(x1))
         for x, f in ((x1, f1), (x2, f2)):
             if f < best_score:
                 best_lam, best_score = np.exp(x), f
@@ -386,16 +348,15 @@ def fit_spectral_model(problem, N: int, m: int, seed: int = 0) -> SpectralModel:
     pts = lhs_sample(m, problem.L1, problem.L2, seed=seed)
     Phi = build_design_matrix(pts, basis)
     u = np.asarray(problem.initial_condition()(pts[:, 0], pts[:, 1]), dtype=float)
-    _, fit = ridge_fit_svd(Phi, u, 1.0)   # keeps the factorization handle
-    lam, edof, score = select_lambda_gcv(fit, u)
-    w = fit.coefficients(u, lam)
+    fit = ridge_fit_svd(Phi, u)
+    lam, edof, score = select_lambda_gcv(fit)
     diagnostics = {
         "seed": seed,
         "m": m,
         "gcv_score": score,
-        "residual_norm": float(np.sqrt(fit.rss(u, lam))),
+        "residual_norm": float(np.sqrt(fit.rss(lam))),
     }
-    return SpectralModel(basis, w, lam, edof, diagnostics)
+    return SpectralModel(basis, fit.coefficients(lam), lam, edof, diagnostics)
 
 
 def predict(model: SpectralModel, x, y, t: float):

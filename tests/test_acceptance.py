@@ -106,9 +106,9 @@ def _lambda_check(config: ExperimentConfig, selected: float,
                               seed=config.seed)
     Phi = spectral.build_design_matrix(pts, basis)
     u = problem.initial_condition()(pts[:, 0], pts[:, 1])
-    _, fit = spectral.ridge_fit_svd(Phi, u, 1.0)
-    score = spectral.gcv_score(fit, u, selected)
-    score_paper = spectral.gcv_score(fit, u, paper_lam)
+    fit = spectral.ridge_fit_svd(Phi, u)
+    score = fit.gcv(selected)
+    score_paper = fit.gcv(paper_lam)
     ok = score <= 1.01 * score_paper
     return ok, (f"lambda {selected:.3e} vs {paper_lam:.1e}: gcv "
                 f"{score:.6e} vs {score_paper:.6e} (fallback, within 1%)")
@@ -221,7 +221,8 @@ def test_criterion_8_kernel_oracles():
     for m, p, lam in ((50, 20, 0.1), (200, 100, 1e-3)):
         A = rng.normal(size=(m, p))
         b = rng.normal(size=m)
-        w_svd, fit = spectral.ridge_fit_svd(A, b, lam)
+        fit = spectral.ridge_fit_svd(A, b)
+        w_svd = fit.coefficients(lam)
         w_ne = np.linalg.solve(A.T @ A + lam * np.eye(p), A.T @ b)
         if np.linalg.norm(w_svd - w_ne) > 1e-10 * np.linalg.norm(w_ne):
             ridge_ok = False
@@ -229,7 +230,7 @@ def test_criterion_8_kernel_oracles():
         H = A @ np.linalg.solve(A.T @ A + lam * np.eye(p), A.T)
         rss = float(((b - H @ b) ** 2).sum())
         dense = rss / (m - np.trace(H)) ** 2
-        if abs(spectral.gcv_score(fit, b, lam) - dense) > 1e-10 * dense:
+        if abs(fit.gcv(lam) - dense) > 1e-10 * dense:
             ridge_ok = False
 
     seconds = time.perf_counter() - t0

@@ -82,6 +82,9 @@ def test_config_rejects_snapshot_times_outside_horizon():
     with pytest.raises(ValueError, match="snapshot_times"):
         ExperimentConfig(T=0.5)              # default times run to 1.0
     ExperimentConfig(T=0.5, snapshot_times=[0.0, 0.5])
+    # both times would write the files labelled t0.00
+    with pytest.raises(ValueError, match=r"snapshot_times \[0.001, 0.004\]"):
+        ExperimentConfig(snapshot_times=[0.001, 0.004])
 
 
 def test_config_rejects_dt_ref_not_dividing_horizon():
@@ -280,15 +283,21 @@ def test_cli_requires_subcommand(capsys):
         cli.main([])
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["match", "0"], "effective DoF must be finite and at least 1"),
-    (["fit", "--seed", "-1", "--output", "{tmp}"], "seed must be non-negative"),
-    (["fit", "--config", "{tmp}/config.json"], "N must be an integer"),
-    (["solve"], "invalid choice: 'solve'"),
-], ids=["match_0", "negative_seed", "float_N_config", "no_solve"])
-def test_cli_bad_input_is_a_usage_error(argv, message, tmp_path, capsys):
-    (tmp_path / "config.json").write_text(json.dumps({"N": 4.0}))
+@pytest.mark.parametrize("argv, config, message", [
+    (["match", "0"], "", "effective DoF must be finite and at least 1"),
+    (["fit", "--seed", "-1", "--output", "{tmp}"], "", "seed must be non-negative"),
+    (["fit", "--config", "{tmp}/config.json"], '{"N": 4.0}', "N must be an integer"),
+    (["solve"], "", "invalid choice: 'solve'"),
+    (["fit", "--config", "{tmp}/config.json"], "5", "config must be a JSON object"),
+    (["fit", "--config", "{tmp}/config.json"], '{"snapshot_times": 0.5}',
+     "snapshot_times must be a list of numbers"),
+], ids=["match_0", "negative_seed", "float_N_config", "no_solve",
+        "config_not_object", "snapshot_times_not_list"])
+def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys):
+    (tmp_path / "config.json").write_text(config)
     with pytest.raises(SystemExit) as exc:
         cli.main([a.format(tmp=tmp_path) for a in argv])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("usage: ") and err.count("error:") == 1

@@ -5,8 +5,8 @@ import pytest
 
 from wavebench.problem import WaveProblem, single_mode_solution
 from wavebench.spectral import (SpectralBasis, SpectralModel, lhs_sample,
-                                build_design_matrix, ridge_fit_svd, gcv_score,
-                                select_lambda_gcv, effective_dof,
+                                DesignMatrix, build_design_matrix,
+                                ridge_fit_svd, select_lambda_gcv,
                                 default_lambda_grid, fit_spectral_model,
                                 predict, _sine_table)
 
@@ -121,38 +121,35 @@ def test_ridge_design_matrix_matches_array():
     pts = lhs_sample(300, 1.0, 1.0, seed=4)
     Phi = build_design_matrix(pts, SpectralBasis(8))
     u = WaveProblem(ic="polynomial").initial_condition()(pts[:, 0], pts[:, 1])
-    w_tab, fit_tab = ridge_fit_svd(Phi, u, 1e-3)
-    w_arr, fit_arr = ridge_fit_svd(Phi.values, u, 1e-3)
+    fit_tab = ridge_fit_svd(Phi, u)
+    fit_arr = ridge_fit_svd(Phi.values, u)
     np.testing.assert_allclose(fit_tab.s, fit_arr.s, rtol=1e-10)
+    w_tab, w_arr = fit_tab.coefficients(1e-3), fit_arr.coefficients(1e-3)
     assert np.linalg.norm(w_tab - w_arr) <= 1e-10 * np.linalg.norm(w_arr)
     for lam in default_lambda_grid():
-        assert effective_dof(fit_tab, lam) == pytest.approx(
-            effective_dof(fit_arr, lam), rel=1e-10)
-        assert gcv_score(fit_tab, u, lam) == pytest.approx(
-            gcv_score(fit_arr, u, lam), rel=1e-10)
+        assert fit_tab.edof(lam) == pytest.approx(fit_arr.edof(lam), rel=1e-10)
+        assert fit_tab.gcv(lam) == pytest.approx(fit_arr.gcv(lam), rel=1e-10)
 
 
-def test_projection_memo_follows_values():
+def test_fit_projects_the_samples_once(monkeypatch):
+    calls = []
+    rmatvec = DesignMatrix.rmatvec
+    monkeypatch.setattr(DesignMatrix, "rmatvec",
+                        lambda self, u: calls.append(1) or rmatvec(self, u))
+    fit_spectral_model(WaveProblem(ic="polynomial"), 6, 300, seed=1)
+    assert calls == [1]
+
+
+def test_fit_is_bound_to_its_samples():
     pts = lhs_sample(150, 1.0, 1.0, seed=8)
     Phi = build_design_matrix(pts, SpectralBasis(5))
     rng = np.random.default_rng(9)
     u = rng.standard_normal(150)
-    other = rng.standard_normal(150)
-
-    def fresh(v, lam):
-        # a new handle has no projection yet, so it projects v itself
-        _, f = ridge_fit_svd(Phi, v.copy(), 1.0)
-        return gcv_score(f, v, lam)
-
-    _, fit = ridge_fit_svd(Phi, u, 1.0)
-    lam = 1e-3
-    expected_u, expected_other = fresh(u, lam), fresh(other, lam)
-    assert expected_u != expected_other
-    assert gcv_score(fit, u.copy(), lam) == expected_u
-    assert gcv_score(fit, other, lam) == expected_other
-    assert gcv_score(fit, u, lam) == expected_u
-    u[:] = other                      # changed in place after the fit
-    assert gcv_score(fit, u, lam) == expected_other
+    fit = ridge_fit_svd(Phi, u)
+    before = [fit.gcv(lam) for lam in (1e-6, 1e-3, 1.0)]
+    u[:] = rng.standard_normal(150)   # changed in place after the fit
+    assert [fit.gcv(lam) for lam in (1e-6, 1e-3, 1.0)] == before
+    assert ridge_fit_svd(Phi, u).gcv(1e-3) != before[1]
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +161,7 @@ def test_ridge_matches_normal_equations(shape, lam):
     rng = np.random.default_rng(11)
     A = rng.standard_normal(shape)
     u = rng.standard_normal(shape[0])
-    w, _ = ridge_fit_svd(A, u, lam)
+    w = ridge_fit_svd(A, u).coefficients(lam)
     w_ref = np.linalg.solve(A.T @ A + lam * np.eye(shape[1]), A.T @ u)
     assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
 
@@ -173,7 +170,7 @@ def test_ridge_zero_lambda_full_rank():
     rng = np.random.default_rng(12)
     A = rng.standard_normal((20, 5))
     u = rng.standard_normal(20)
-    w, _ = ridge_fit_svd(A, u, 0.0)
+    w = ridge_fit_svd(A, u).coefficients(0.0)
     w_ref, *_ = np.linalg.lstsq(A, u, rcond=None)
     np.testing.assert_allclose(w, w_ref, atol=1e-10)
 
@@ -181,20 +178,24 @@ def test_ridge_zero_lambda_full_rank():
 def test_ridge_zero_lambda_rank_deficient_raises():
     A = np.ones((10, 3))
     u = np.ones(10)
+    fit = ridge_fit_svd(A, u)
     with pytest.raises(np.linalg.LinAlgError):
-        ridge_fit_svd(A, u, 0.0)
+        fit.coefficients(0.0)
 
 
 def test_ridge_validation():
     A = np.ones((4, 2))
+    fit = ridge_fit_svd(A, np.ones(4))
     with pytest.raises(ValueError):
-        ridge_fit_svd(A, np.ones(4), -1.0)
+        fit.coefficients(-1.0)
     with pytest.raises(ValueError):
-        ridge_fit_svd(A, np.ones(3), 1.0)
+        fit.edof(-1.0)
+    with pytest.raises(ValueError):
+        ridge_fit_svd(A, np.ones(3))
     A_bad = A.copy()
     A_bad[0, 0] = np.nan
     with pytest.raises(ValueError):
-        ridge_fit_svd(A_bad, np.ones(4), 1.0)
+        ridge_fit_svd(A_bad, np.ones(4))
 
 
 def _svd_oracle(A, u, lam):
@@ -215,16 +216,16 @@ def test_ridge_gram_route_matches_direct_svd(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("well-conditioned design took the SVD route")
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    _, fit = ridge_fit_svd(A, u, 1.0)
+    fit = ridge_fit_svd(A, u)
     np.testing.assert_allclose(fit.s, s_ref, rtol=1e-10)
     for lam, w_ref in oracles.items():
-        w, _ = ridge_fit_svd(A, u, lam)
+        w = fit.coefficients(lam)
         assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
         edof_ref = np.sum(s_ref**2 / (s_ref**2 + lam))
-        assert effective_dof(fit, lam) == pytest.approx(edof_ref, rel=1e-10)
+        assert fit.edof(lam) == pytest.approx(edof_ref, rel=1e-10)
         resid = u - A @ w_ref
         gcv_ref = (resid @ resid) / (300 - edof_ref) ** 2
-        assert gcv_score(fit, u, lam) == pytest.approx(gcv_ref, rel=1e-10)
+        assert fit.gcv(lam) == pytest.approx(gcv_ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["ill_conditioned", "wide"])
@@ -246,7 +247,8 @@ def test_ridge_svd_fallback_matches_oracle(kind, monkeypatch):
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *a, **k: calls.append(1) or svd(*a, **k))
-    w, fit = ridge_fit_svd(A, u, lam)
+    fit = ridge_fit_svd(A, u)
+    w = fit.coefficients(lam)
     assert calls == [1]
     np.testing.assert_allclose(fit.s, s_ref, rtol=1e-12)
     assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
@@ -259,13 +261,13 @@ def test_gcv_matches_dense_hat_matrix():
     rng = np.random.default_rng(13)
     A = rng.standard_normal((60, 25))
     u = rng.standard_normal(60)
-    _, fit = ridge_fit_svd(A, u, 1.0)
+    fit = ridge_fit_svd(A, u)
     for lam in (1e-6, 1e-2, 1.0, 50.0):
         H = A @ np.linalg.solve(A.T @ A + lam * np.eye(25), A.T)
         resid = u - H @ u
         gcv_ref = (resid @ resid) / (60 - np.trace(H)) ** 2
-        assert gcv_score(fit, u, lam) == pytest.approx(gcv_ref, rel=1e-10)
-        assert effective_dof(fit, lam) == pytest.approx(np.trace(H), rel=1e-10)
+        assert fit.gcv(lam) == pytest.approx(gcv_ref, rel=1e-10)
+        assert fit.edof(lam) == pytest.approx(np.trace(H), rel=1e-10)
 
 
 def test_gcv_closed_form():
@@ -273,9 +275,9 @@ def test_gcv_closed_form():
     # rss = 1/4 + 1/25, edof = 1/2 + 4/5, gcv = rss / (2 - 1.3)^2
     A = np.diag([1.0, 2.0])
     u = np.array([1.0, 1.0])
-    _, fit = ridge_fit_svd(A, u, 1.0)
-    assert effective_dof(fit, 1.0) == pytest.approx(1.3)
-    assert gcv_score(fit, u, 1.0) == pytest.approx((0.25 + 0.04) / 0.49)
+    fit = ridge_fit_svd(A, u)
+    assert fit.edof(1.0) == pytest.approx(1.3)
+    assert fit.gcv(1.0) == pytest.approx((0.25 + 0.04) / 0.49)
 
 
 def test_gcv_rank_deficient_design():
@@ -284,20 +286,21 @@ def test_gcv_rank_deficient_design():
     A = np.column_stack([np.ones(10), np.ones(10), np.arange(10.0)])
     A = np.column_stack([A, A[:, 0] + A[:, 2]])      # rank 2 of 4
     u = np.random.default_rng(0).standard_normal(10)
+    fit = ridge_fit_svd(A, u)
     for lam in (1e-6, 1e-2, 1.0):
-        w, fit = ridge_fit_svd(A, u, lam)
+        w = fit.coefficients(lam)
         H = A @ np.linalg.solve(A.T @ A + lam * np.eye(4), A.T)
         resid = u - H @ u
         gcv_ref = (resid @ resid) / (10 - np.trace(H)) ** 2
-        assert gcv_score(fit, u, lam) == pytest.approx(gcv_ref, rel=1e-10)
+        assert fit.gcv(lam) == pytest.approx(gcv_ref, rel=1e-10)
         w_ref = np.linalg.solve(A.T @ A + lam * np.eye(4), A.T @ u)
         assert np.linalg.norm(w - w_ref) <= 1e-7 * np.linalg.norm(w_ref)
 
 
 def test_gcv_requires_positive_lambda():
-    _, fit = ridge_fit_svd(np.eye(3), np.ones(3), 1.0)
+    fit = ridge_fit_svd(np.eye(3), np.ones(3))
     with pytest.raises(ValueError):
-        gcv_score(fit, np.ones(3), 0.0)
+        fit.gcv(0.0)
 
 
 def test_default_lambda_grid():
@@ -313,24 +316,22 @@ def test_gcv_constant_for_orthonormal_design():
     # with an orthonormal design and u in its column space the GCV score
     # is constant in lambda: shrinkage and the denominator cancel exactly
     u = np.array([1.0, 2.0])
-    _, fit = ridge_fit_svd(np.eye(2), u, 1.0)
+    fit = ridge_fit_svd(np.eye(2), u)
     for lam in (1e-3, 1.0, 1e3):
-        assert gcv_score(fit, u, lam) == pytest.approx(5.0 / 4.0)
-    _, _, score = select_lambda_gcv(fit, u, np.logspace(-3, 3, 13))
+        assert fit.gcv(lam) == pytest.approx(5.0 / 4.0)
+    _, _, score = select_lambda_gcv(fit, np.logspace(-3, 3, 13))
     assert score == pytest.approx(5.0 / 4.0)
 
 
-def test_select_lambda_tie_breaks_large(monkeypatch):
+def test_select_lambda_tie_breaks_large():
     # exact score ties must resolve to the largest (most regularizing)
-    # grid value
-    import wavebench.spectral as spectral_mod
-    u = np.array([1.0, 2.0])
-    _, fit = ridge_fit_svd(np.eye(2), u, 1.0)
-    monkeypatch.setattr(spectral_mod, "gcv_score", lambda f, v, lam: 1.0)
+    # grid value; u = 0 has zero residual, so every GCV score is exactly 0
+    fit = ridge_fit_svd(np.eye(2), np.zeros(2))
     grid = np.logspace(-3, 3, 13)
-    lam, _, score = spectral_mod.select_lambda_gcv(fit, u, grid)
-    assert lam == pytest.approx(grid[-1])
-    assert score == 1.0
+    assert all(fit.gcv(lam) == 0.0 for lam in grid)
+    lam, _, score = select_lambda_gcv(fit, grid)
+    assert lam == grid[-1]
+    assert score == 0.0
 
 
 def test_select_lambda_finds_interior_minimum():
@@ -339,18 +340,18 @@ def test_select_lambda_finds_interior_minimum():
     w_true = np.zeros(30)
     w_true[:3] = [1.0, -2.0, 0.5]
     u = A @ w_true + 0.1 * rng.standard_normal(80)
-    _, fit = ridge_fit_svd(A, u, 1.0)
-    lam, edof, score = select_lambda_gcv(fit, u)
+    fit = ridge_fit_svd(A, u)
+    lam, edof, score = select_lambda_gcv(fit)
     grid = default_lambda_grid()
-    grid_scores = [gcv_score(fit, u, g) for g in grid]
+    grid_scores = [fit.gcv(g) for g in grid]
     assert score <= min(grid_scores) * (1 + 1e-12)
     assert 0 < edof <= 30
 
 
 def test_select_lambda_validation():
-    _, fit = ridge_fit_svd(np.eye(2), np.ones(2), 1.0)
+    fit = ridge_fit_svd(np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
-        select_lambda_gcv(fit, np.ones(2), np.array([-1.0, 1.0]))
+        select_lambda_gcv(fit, np.array([-1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
