@@ -56,7 +56,10 @@ class Mesh:
 
 
 def build_structured_mesh(L1: float, L2: float, nx: int, ny: int) -> Mesh:
-    """Build the uniform criss-cross triangulation of (0, L1) x (0, L2)."""
+    """Build the uniform single-diagonal triangulation of (0, L1) x (0, L2).
+
+    Every cell is split along its lower-left to upper-right diagonal.
+    """
     if L1 <= 0 or L2 <= 0:
         raise ValueError("domain lengths must be positive")
     if nx < 1 or ny < 1:

@@ -7,6 +7,7 @@ zero initial velocity.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,6 +22,11 @@ __all__ = [
 ]
 
 IC_NAMES = ("polynomial", "mollifier", "single_mode", "custom")
+
+
+def is_real_number(value) -> bool:
+    """True for int and float values (numpy scalars too), False for bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def ic_polynomial(x, y):
@@ -87,8 +93,12 @@ class WaveProblem:
     def __post_init__(self):
         for name in ("L1", "L2", "c", "T"):
             v = getattr(self, name)
+            if not is_real_number(v):
+                raise ValueError(f"{name} must be a number, got {v!r}")
             if not np.isfinite(v) or v <= 0:
                 raise ValueError(f"{name} must be strictly positive, got {v}")
+        if not isinstance(self.ic_params, dict):
+            raise ValueError(f"ic_params must be a dict, got {self.ic_params!r}")
         if self.ic not in IC_NAMES:
             raise ValueError(f"unknown initial condition {self.ic!r}; "
                              f"expected one of {IC_NAMES}")

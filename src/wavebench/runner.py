@@ -8,6 +8,7 @@ and a JSON document; snapshot grids can be exported for plotting.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -21,7 +22,7 @@ import numpy as np
 from . import fem, metrics, reference, spectral
 from .dof_matching import MatchResult, match_cn_to_dof
 from .mesh import build_structured_mesh
-from .problem import WaveProblem
+from .problem import WaveProblem, is_real_number
 
 __all__ = ["ExperimentConfig", "BenchmarkResult", "run_benchmark",
            "emit_snapshots", "CSV_HEADER"]
@@ -55,21 +56,27 @@ class ExperimentConfig:
         self.problem()                       # validates domain, c, T and ic
         for name in ("N", "m", "seed", "ref_nx", "ref_ny", "Nt_eval"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.paper_update, bool):
+            raise ValueError(f"paper_update must be true or false, got "
+                             f"{self.paper_update!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.ref_nx < 1 or self.ref_ny < 1:
             raise ValueError("ref_nx and ref_ny must be at least 1")
         if self.dt_ref is None:
             self.dt_ref = 1.0 / (2 * self.ref_nx)
+        if not is_real_number(self.dt_ref):
+            raise ValueError(f"dt_ref must be a number or null, got "
+                             f"{self.dt_ref!r}")
         if self.dt_ref >= min(self.L1 / self.ref_nx, self.L2 / self.ref_ny):
             raise ValueError("dt_ref must be smaller than the reference grid "
                              "spacing")
         reference.step_count(self.T, self.dt_ref)
         times = self.snapshot_times
         if not (isinstance(times, list)
-                and all(isinstance(t, numbers.Real) for t in times)):
+                and all(is_real_number(t) for t in times)):
             raise ValueError(f"snapshot_times must be a list of numbers, got {times!r}")
         bad = [t for t in times if not 0.0 <= t <= self.T]
         if bad:
@@ -98,8 +105,9 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=2)
 
     def problem(self) -> WaveProblem:
+        # a shallow copy that leaves a non-dict for WaveProblem to reject
         return WaveProblem(self.L1, self.L2, self.c, self.T, self.ic,
-                           dict(self.ic_params))
+                           copy.copy(self.ic_params))
 
     def paper_scale(self) -> "ExperimentConfig":
         """Copy of this config at the full 400 x 400 reference resolution."""

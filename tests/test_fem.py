@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from wavebench.mesh import build_structured_mesh
 from wavebench.fem import (FemSystem, assemble_mass, assemble_stiffness,
                            restrict_to_interior, interior_values, cn_steps,
-                           cn_solve, discrete_energy, p1_interpolate)
+                           cn_solve, discrete_energy, p1_interpolate,
+                           _mass_solve)
 from wavebench.problem import WaveProblem, single_mode_solution
 
 
@@ -46,7 +48,7 @@ def test_stiffness_unit_square_one_cell():
 
 
 def test_interior_stencil_five_point():
-    # on a uniform criss-cross mesh of the unit square, the interior
+    # on a uniform single-diagonal mesh of the unit square, the interior
     # stiffness stencil is the classical 5-point one: 4 on the diagonal,
     # -1 for axis neighbours, 0 for diagonal neighbours (h-independent)
     n = 4
@@ -182,11 +184,49 @@ def test_factorize_once():
     u0 = interior_values(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
                          mesh)
     traj = cn_solve(sys, u0, 0.05, 40)
-    assert traj.stats["factorizations"] == 2      # mass start + stepping matrix
-    assert traj.stats["solves"] == 40             # one backsolve per computed level
+    assert traj.stats["factorizations"] == 1      # the stepping matrix only
+    assert traj.stats["solves"] == 40             # one solve per computed level
+    assert traj.stats["cg_iters"] > 0             # the Taylor start's M solve
     paper = cn_solve(sys, u0, 0.05, 40, paper_update=True)
-    assert paper.stats["factorizations"] == 1     # the hold start needs no M solve
-    assert paper.stats["solves"] == 39
+    assert paper.stats["factorizations"] == 1
+    assert paper.stats["solves"] == 39            # the hold start needs no M solve
+    assert paper.stats["cg_iters"] == 0
+
+
+@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("ic", ["polynomial", "mollifier"])
+def test_taylor_start_cg_matches_direct_solve(n, ic):
+    mesh, sys = _system(n)
+    b = sys.K @ interior_values(WaveProblem(ic=ic).initial_condition(), mesh)
+    stats = {"cg_iters": 0}
+    x = _mass_solve(sys.M, b, stats)
+    direct = spsolve(sys.M.tocsc(), b)
+    np.testing.assert_allclose(x, direct, rtol=0,
+                               atol=1e-12 * np.max(np.abs(direct)))
+    assert 0 < stats["cg_iters"] <= 40
+
+
+@pytest.mark.parametrize("paper_update", [False, True])
+def test_cn_solve_matches_spsolve_oracle(paper_update):
+    # each level from scratch with a direct solve: a wrong permutation or
+    # a stale factor in the stepping path would show at the first step
+    mesh, sys = _system(24)
+    u0 = interior_values(WaveProblem(ic="mollifier").initial_condition(), mesh)
+    dt, Nt = 1.0 / 48, 48
+    traj = cn_solve(sys, u0, dt, Nt, paper_update)
+    a = dt**2 / 2.0
+    A = (sys.M + a * sys.K).tocsc()
+    if paper_update:
+        B, C = 2.0 * sys.M - a * sys.K, sys.M
+        levels = [u0, u0]
+    else:
+        B, C = 2.0 * sys.M, A
+        levels = [u0, u0 - a * spsolve(sys.M.tocsc(), sys.K @ u0)]
+    for _ in range(Nt - 1):
+        levels.append(spsolve(A, B @ levels[-1] - C @ levels[-2]))
+    expect = np.array(levels)
+    np.testing.assert_allclose(traj.snapshots, expect, rtol=0,
+                               atol=1e-12 * np.max(np.abs(expect)))
 
 
 def test_second_order_convergence_single_mode():

@@ -291,8 +291,19 @@ def test_cli_requires_subcommand(capsys):
     (["fit", "--config", "{tmp}/config.json"], "5", "config must be a JSON object"),
     (["fit", "--config", "{tmp}/config.json"], '{"snapshot_times": 0.5}',
      "snapshot_times must be a list of numbers"),
+    (["fit", "--config", "{tmp}/config.json"], '{"paper_update": "no"}',
+     "paper_update must be true or false"),
+    (["fit", "--config", "{tmp}/config.json"], '{"ic_params": 5}',
+     "ic_params must be a dict"),
+    (["fit", "--config", "{tmp}/config.json"], '{"T": "1"}',
+     "T must be a number"),
+    (["fit", "--config", "{tmp}/config.json"], '{"N": true}',
+     "N must be an integer"),
+    (["fit", "--config", "{tmp}/config.json"], '{"dt_ref": "0.01"}',
+     "dt_ref must be a number or null"),
 ], ids=["match_0", "negative_seed", "float_N_config", "no_solve",
-        "config_not_object", "snapshot_times_not_list"])
+        "config_not_object", "snapshot_times_not_list", "string_paper_update",
+        "int_ic_params", "string_T", "bool_N", "string_dt_ref"])
 def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys):
     (tmp_path / "config.json").write_text(config)
     with pytest.raises(SystemExit) as exc:
