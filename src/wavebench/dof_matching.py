@@ -44,8 +44,8 @@ def match_cn_to_dof(dof_ep: float, T: float) -> MatchResult:
     """
     if not 1 <= dof_ep < math.inf:
         raise ValueError("effective DoF must be finite and at least 1")
-    if T <= 0:
-        raise ValueError("final time must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("final time must be positive and finite")
     # (n-1)^2 (n+1) < n^3, so the smallest n with dof_cn >= dof_ep is at
     # least floor(cbrt(dof_ep)) and at most two steps above it
     n = max(2, math.floor(dof_ep ** (1.0 / 3.0)))

@@ -1,13 +1,17 @@
-"""P1 finite element assembly and three-level Crank-Nicolson time stepping.
+"""P1 finite elements on the structured grid and three-level Crank-Nicolson.
 
-Element matrices: mass A_e/12 * [[2,1,1],[1,2,1],[1,1,2]] and stiffness
-(b_i b_j + c_i c_j) / (4 A_e). The semi-discrete system
-M U'' + c^2 K U = 0 over interior unknowns is advanced with the implicit
-update (M + a K) U^{n+1} = 2 M U^n - (M + a K) U^{n-1}, a = c^2 dt^2 / 2,
-whose left-hand matrix is the only one factorized: one sparse LU with a
-symmetric minimum-degree ordering, reused every step. The Taylor start
-solves with M by conjugate gradients. See `cn_steps` for the update behind
-the published tables.
+On the uniform single-diagonal triangulation every interior node has the
+same six right triangles around it, so P1 assembly gives one stencil per
+node, which `FemSystem.build` writes straight into sparse bands. K is the
+five-point Laplacian: an edge couples by -(cot a + cot b)/2 over its two
+opposite angles, and a diagonal edge faces two right angles (cot = 0). M is
+hx hy/12 times 6 at the node and 1 at its four axis and two diagonal
+neighbours. M U'' + c^2 K U = 0 is advanced by
+(M + a K) U^{n+1} = 2 M U^n - (M + a K) U^{n-1}, a = c^2 dt^2 / 2,
+factorizing only the left-hand matrix: one sparse LU with a symmetric
+minimum-degree ordering, reused every step; the Taylor start solves with
+M by conjugate gradients. See `cn_steps` for the update behind the
+published tables.
 """
 
 from __future__ import annotations
@@ -18,14 +22,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh, _locate_cells, geometry_arrays
+from .mesh import Mesh, _locate_cells
 
 __all__ = [
     "FemSystem",
     "FemTrajectory",
-    "assemble_mass",
-    "assemble_stiffness",
-    "restrict_to_interior",
     "cn_steps",
     "cn_solve",
     "discrete_energy",
@@ -34,45 +35,11 @@ __all__ = [
 ]
 
 _CG_MAXITER = 200
-_MASS_BLOCK = np.array([[2.0, 1.0, 1.0],
-                        [1.0, 2.0, 1.0],
-                        [1.0, 1.0, 2.0]]) / 12.0
-
-
-def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
-    """Global mass matrix over all nodes."""
-    area, _, _ = geometry_arrays(mesh)
-    n_el = mesh.n_elements
-    local = area[:, None, None] * _MASS_BLOCK[None, :, :]
-    return _scatter(mesh, local, n_el)
-
-
-def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """Global stiffness matrix over all nodes."""
-    area, b, c = geometry_arrays(mesh)
-    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-    local /= (4.0 * area)[:, None, None]
-    return _scatter(mesh, local, mesh.n_elements)
-
-
-def _scatter(mesh: Mesh, local: np.ndarray, n_el: int) -> sp.csr_matrix:
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.n_nodes, mesh.n_nodes))
-    return A.tocsr()
-
-
-def restrict_to_interior(A: sp.spmatrix, mesh: Mesh) -> sp.csr_matrix:
-    """Drop rows and columns of boundary nodes (homogeneous Dirichlet)."""
-    ids = mesh.interior_ids
-    return sp.csr_matrix(A.tocsr()[ids][:, ids])
 
 
 def interior_values(fn, mesh: Mesh) -> np.ndarray:
     """Sample a function at interior nodes, in interior-unknown order."""
-    pts = mesh.nodes[mesh.interior_ids]
-    return np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float)
+    return np.asarray(fn(*mesh.interior_nodes()), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -86,9 +53,35 @@ class FemSystem:
 
     @classmethod
     def build(cls, mesh: Mesh, c: float) -> "FemSystem":
-        M = restrict_to_interior(assemble_mass(mesh), mesh)
-        K = restrict_to_interior(assemble_stiffness(mesh), mesh)
+        hx, hy = mesh.L1 / mesh.nx, mesh.L2 / mesh.ny
+        a = hx * hy / 12.0
+        M = _stencil(mesh, 6.0 * a, a, a, a)
+        K = _stencil(mesh, 2.0 * (hy / hx + hx / hy), -hy / hx, -hx / hy, 0.0)
         return cls(M, K, mesh, c)
+
+
+def _stencil(mesh: Mesh, centre, x_nb, y_nb, diag_nb) -> sp.csr_matrix:
+    """Interior matrix of a symmetric stencil on the unknown grid.
+
+    Unknown (i, j) couples to itself, (i +- 1, j), (i, j +- 1) and its
+    diagonal neighbours (i + 1, j + 1), (i - 1, j - 1); the x and diagonal
+    bands are cut where they would wrap from a row end to the next row.
+    """
+    nx, n = mesh.nx - 1, mesh.n_interior
+    row_end = np.arange(n) % nx == nx - 1
+    bands, offsets = [np.full(n, centre)], [0]
+    for off, value, cut in ((1, x_nb, True), (nx, y_nb, False),
+                            (nx + 1, diag_nb, True)):
+        # with one unknown per row every x or diagonal coupling wraps
+        if off >= n or (cut and nx == 1):
+            continue
+        band = np.full(n - off, value)
+        if cut:
+            band[row_end[:n - off]] = 0.0
+        bands += [band, band]
+        offsets += [off, -off]
+    # the conversion drops zero entries, such as K's diagonal band
+    return sp.diags(bands, offsets, shape=(n, n), format="csr")
 
 
 @dataclass
@@ -100,17 +93,10 @@ class FemTrajectory:
     Nt: int
     mesh: Mesh
     stats: dict = field(default_factory=dict)
-    _grids: np.ndarray | None = field(default=None, repr=False)
 
     def full_grids(self) -> np.ndarray:
         """Nodal values on the full (Nt+1, ny+1, nx+1) grid, boundary zeros."""
-        if self._grids is None:
-            m = self.mesh
-            grids = np.zeros((self.Nt + 1, m.ny + 1, m.nx + 1))
-            flat = grids.reshape(self.Nt + 1, -1)
-            flat[:, m.interior_ids] = self.snapshots
-            self._grids = grids
-        return self._grids
+        return self.mesh.full_grid(self.snapshots)
 
     def field(self):
         """Space-time evaluator (x, y, t) -> values.
@@ -239,12 +225,8 @@ def cn_solve(sys: FemSystem, u0_nodal: np.ndarray, dt: float, Nt: int,
     if u0.shape != (n,):
         raise ValueError(f"initial vector has shape {u0.shape}, expected ({n},)")
 
-    stats = {"factorizations": 0, "solves": 0, "spmv": 0, "cg_iters": 0}
+    stats = {}
     snaps = np.empty((Nt + 1, n))
-    if n == 0:
-        snaps[:] = 0.0
-        return FemTrajectory(snaps, dt, Nt, sys.mesh, stats)
-
     steps = cn_steps(sys, u0, dt, stats, paper_update)
     for k in range(Nt + 1):
         snaps[k] = next(steps)

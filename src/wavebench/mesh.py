@@ -2,8 +2,8 @@
 
 The rectangle (0, L1) x (0, L2) is divided into nx * ny uniform cells, each
 split into two triangles along the lower-left to upper-right diagonal.
-Nodes are ordered row-major, y outer, x inner. Triangles are oriented
-counter-clockwise.
+Nodal values live on a (ny+1, nx+1) grid, y outer, x inner; the Dirichlet
+unknowns are its interior block `grid[1:-1, 1:-1]`, row-major.
 """
 
 from __future__ import annotations
@@ -12,47 +12,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "build_structured_mesh", "geometry_arrays"]
+__all__ = ["Mesh", "build_structured_mesh"]
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangulation with an interior-unknown index map.
+    """The uniform nx x ny single-diagonal triangulation of (0, L1) x (0, L2).
 
-    Attributes
-    ----------
-    nodes : (n_nodes, 2) float array of coordinates.
-    elements : (n_elements, 3) int array of CCW node triples.
-    interior : (n_nodes,) int array mapping each node to its interior-unknown
-        index, or -1 for boundary nodes.
-    h : mesh size, max(L1/nx, L2/ny).
+    Unknown p = (j-1)(nx-1) + (i-1) is node (i, j) at (i L1/nx, j L2/ny),
+    0 < i < nx, 0 < j < ny: the row-major `[1:-1, 1:-1]` nodal block.
     """
 
     L1: float
     L2: float
     nx: int
     ny: int
-    nodes: np.ndarray
-    elements: np.ndarray
-    interior: np.ndarray
-    h: float
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
-    def n_elements(self) -> int:
-        return self.elements.shape[0]
 
     @property
     def n_interior(self) -> int:
         return int((self.nx - 1) * (self.ny - 1))
 
-    @property
-    def interior_ids(self) -> np.ndarray:
-        """Global node ids of interior nodes, in interior-unknown order."""
-        return np.flatnonzero(self.interior >= 0)
+    def axes(self):
+        """Node coordinates along x (nx+1 values) and along y (ny+1)."""
+        return (np.linspace(0.0, self.L1, self.nx + 1),
+                np.linspace(0.0, self.L2, self.ny + 1))
+
+    def interior_nodes(self):
+        """Coordinates (x, y) of the interior nodes, in unknown order."""
+        xs, ys = self.axes()
+        X, Y = np.meshgrid(xs[1:-1], ys[1:-1])
+        return X.ravel(), Y.ravel()
+
+    def full_grid(self, u) -> np.ndarray:
+        """Nodal grids (..., ny+1, nx+1) of unknowns (...), boundary zero."""
+        u = np.asarray(u)
+        lead = u.shape[:-1]
+        grid = np.zeros(lead + (self.ny + 1, self.nx + 1))
+        grid[..., 1:-1, 1:-1] = u.reshape(lead + (self.ny - 1, self.nx - 1))
+        return grid
+
+    def triangles(self) -> np.ndarray:
+        """Vertex coordinates (2 nx ny, 3, 2) of every triangle, CCW.
+
+        Cells run row-major, y outer; each cell gives its lower triangle
+        (n00, n10, n11) and then its upper one (n00, n11, n01).
+        """
+        nodes = np.stack(np.meshgrid(*self.axes()), axis=-1)   # (ny+1, nx+1, 2)
+        n00, n10 = nodes[:-1, :-1], nodes[:-1, 1:]
+        n01, n11 = nodes[1:, :-1], nodes[1:, 1:]
+        tri = np.stack([np.stack([n00, n10, n11], axis=2),
+                        np.stack([n00, n11, n01], axis=2)], axis=2)
+        return tri.reshape(-1, 3, 2)
 
 
 def build_structured_mesh(L1: float, L2: float, nx: int, ny: int) -> Mesh:
@@ -64,52 +74,7 @@ def build_structured_mesh(L1: float, L2: float, nx: int, ny: int) -> Mesh:
         raise ValueError("domain lengths must be positive")
     if nx < 1 or ny < 1:
         raise ValueError("interval counts must be at least 1")
-
-    xs = np.linspace(0.0, L1, nx + 1)
-    ys = np.linspace(0.0, L2, ny + 1)
-    X, Y = np.meshgrid(xs, ys)
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    # cell (i, j) has corners n00, n10, n01, n11; split along n00 -> n11
-    i = np.arange(nx)
-    j = np.arange(ny)
-    I, J = np.meshgrid(i, j)
-    n00 = (J * (nx + 1) + I).ravel()
-    n10 = n00 + 1
-    n01 = n00 + (nx + 1)
-    n11 = n01 + 1
-    lower = np.column_stack([n00, n10, n11])
-    upper = np.column_stack([n00, n11, n01])
-    elements = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    elements[0::2] = lower
-    elements[1::2] = upper
-
-    interior = np.full(nodes.shape[0], -1, dtype=np.int64)
-    ix = np.arange(nx + 1)
-    iy = np.arange(ny + 1)
-    IX, IY = np.meshgrid(ix, iy)
-    mask = (IX > 0) & (IX < nx) & (IY > 0) & (IY < ny)
-    interior[mask.ravel()] = np.arange(mask.sum())
-
-    h = max(L1 / nx, L2 / ny)
-    nodes.setflags(write=False)
-    elements.setflags(write=False)
-    interior.setflags(write=False)
-    return Mesh(L1, L2, nx, ny, nodes, elements, interior, h)
-
-
-def geometry_arrays(mesh: Mesh):
-    """Vectorized (areas, b, c) for every element; used by assembly."""
-    tri = mesh.nodes[mesh.elements]          # (n_el, 3, 2)
-    x = tri[:, :, 0]
-    y = tri[:, :, 1]
-    nxt = [1, 2, 0]
-    prv = [2, 0, 1]
-    b = y[:, nxt] - y[:, prv]
-    c = x[:, prv] - x[:, nxt]
-    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-    return area, b, c
+    return Mesh(L1, L2, nx, ny)
 
 
 def _locate_cells(shape, L1: float, L2: float, x, y):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, _locate_cells, geometry_arrays
+from .mesh import Mesh, _locate_cells
 
 __all__ = [
     "ErrorReport",
@@ -40,8 +40,10 @@ def mesh_quadrature(mesh: Mesh):
     weights already include the element areas, so sum(w * f(p)) integrates
     f over the rectangle.
     """
-    area, _, _ = geometry_arrays(mesh)
-    tri = mesh.nodes[mesh.elements]                       # (n_el, 3, 2)
+    tri = mesh.triangles()                                # (n_el, 3, 2)
+    x, y = tri[:, :, 0], tri[:, :, 1]
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
     pts = np.einsum("qb,ebd->eqd", _QUAD_BARY, tri)       # (n_el, 4, 2)
     w = area[:, None] * _QUAD_W[None, :]
     return pts.reshape(-1, 2), w.ravel()

@@ -182,15 +182,11 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
     mesh = build_structured_mesh(problem.L1, problem.L2, ref_nx, ref_ny)
     sys = FemSystem.build(mesh, problem.c)
     u0 = interior_values(problem.initial_condition(), mesh)
-    ids = mesh.interior_ids
 
     def slices():
-        shape = (ref_ny + 1, ref_nx + 1)
         steps = cn_steps(sys, u0, dt_ref)
         for _ in range(Nt_ref + 1):
-            grid = np.zeros(shape)
-            grid.ravel()[ids] = next(steps)
-            yield grid
+            yield mesh.full_grid(next(steps))
         steps.close()
 
     if path is None:

@@ -208,6 +208,9 @@ def solve_matched_fem(config: ExperimentConfig, match):
 def run_benchmark(config: ExperimentConfig, ref=None,
                   write_outputs: bool = True) -> BenchmarkResult:
     """Full DoF-matched benchmark for one initial condition."""
+    if write_outputs and config.ic == "custom":     # a callable has no JSON form
+        raise ValueError("custom initial conditions cannot be written to a "
+                         "report; pass write_outputs=False")
     if ref is None:
         ref = get_reference(config)
 

@@ -76,6 +76,9 @@ def test_match_validation():
         match_cn_to_dof(float("nan"), 1.0)
     with pytest.raises(ValueError):
         match_cn_to_dof(100.0, 0.0)
+    for T in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            match_cn_to_dof(100.0, T)
 
 
 def test_match_result_is_frozen():

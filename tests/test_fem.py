@@ -5,21 +5,62 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from wavebench.mesh import build_structured_mesh
-from wavebench.fem import (FemSystem, assemble_mass, assemble_stiffness,
-                           restrict_to_interior, interior_values, cn_steps,
-                           cn_solve, discrete_energy, p1_interpolate,
-                           _mass_solve)
+from wavebench.fem import (FemSystem, interior_values, cn_steps, cn_solve,
+                           discrete_energy, p1_interpolate, _mass_solve)
 from wavebench.problem import WaveProblem, single_mode_solution
 
 
 # ---------------------------------------------------------------------------
-# assembly oracles (hand-computed)
+# assembly oracles: textbook P1 element matrices, and hand-computed values
+
+def _element_assembly(mesh):
+    """Dense full-node M and K summed from P1 element matrices.
+
+    Mass A/12 [[2,1,1],[1,2,1],[1,1,2]] and stiffness
+    (b_i b_j + c_i c_j) / (4A) per triangle of `mesh.triangles()`; nodes
+    are numbered row-major, y outer.
+    """
+    n_nodes = (mesh.nx + 1) * (mesh.ny + 1)
+    M = np.zeros((n_nodes, n_nodes))
+    K = np.zeros((n_nodes, n_nodes))
+    mass_block = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    for tri in mesh.triangles():
+        x, y = tri[:, 0], tri[:, 1]
+        ids = (np.rint(y / mesh.L2 * mesh.ny) * (mesh.nx + 1)
+               + np.rint(x / mesh.L1 * mesh.nx)).astype(int)
+        b = np.roll(y, -1) - np.roll(y, 1)
+        c = np.roll(x, 1) - np.roll(x, -1)
+        area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0])
+                      - (x[2] - x[0]) * (y[1] - y[0]))
+        M[np.ix_(ids, ids)] += area * mass_block
+        K[np.ix_(ids, ids)] += (np.outer(b, b) + np.outer(c, c)) / (4 * area)
+    return M, K
+
+
+def _interior_oracle(mesh):
+    """Element-assembled M and K restricted to the interior unknowns."""
+    M, K = _element_assembly(mesh)
+    ids = np.arange(M.shape[0]).reshape(mesh.ny + 1, mesh.nx + 1)
+    ids = ids[1:-1, 1:-1].ravel()
+    return M[np.ix_(ids, ids)], K[np.ix_(ids, ids)]
+
+
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 12, 12), (1.3, 0.7, 17, 9),
+                                  (1.0, 1.0, 2, 2), (2.0, 3.0, 4, 5)])
+def test_stencils_match_element_assembly(dims):
+    mesh = build_structured_mesh(*dims)
+    sys = FemSystem.build(mesh, 1.0)
+    for got, want in zip((sys.M, sys.K), _interior_oracle(mesh)):
+        assert got.shape == want.shape == (mesh.n_interior,) * 2
+        err = np.max(np.abs(got.toarray() - want))
+        assert err <= 1e-14 * np.max(np.abs(want))
+
 
 def test_mass_unit_square_one_cell():
     # two triangles of area 1/2; the assembled 4x4 mass matrix is known
     # in closed form (nodes: (0,0), (1,0), (0,1), (1,1))
     m = build_structured_mesh(1.0, 1.0, 1, 1)
-    M = assemble_mass(m).toarray()
+    M = _element_assembly(m)[0]
     expect = np.array([
         [1 / 6, 1 / 24, 1 / 24, 1 / 12],
         [1 / 24, 1 / 12, 0.0, 1 / 24],
@@ -33,7 +74,7 @@ def test_mass_unit_square_one_cell():
 
 def test_stiffness_unit_square_one_cell():
     m = build_structured_mesh(1.0, 1.0, 1, 1)
-    K = assemble_stiffness(m).toarray()
+    K = _element_assembly(m)[1]
     np.testing.assert_allclose(K, K.T, atol=1e-15)
     np.testing.assert_allclose(K.sum(axis=1), 0.0, atol=1e-14)
     # both triangles are right isoceles with legs 1; their element matrices
@@ -53,7 +94,8 @@ def test_interior_stencil_five_point():
     # -1 for axis neighbours, 0 for diagonal neighbours (h-independent)
     n = 4
     m = build_structured_mesh(1.0, 1.0, n, n)
-    K = restrict_to_interior(assemble_stiffness(m), m).toarray()
+    sys = FemSystem.build(m, 1.0)
+    K = sys.K.toarray()
     nin = n - 1
     center = (nin // 2) * nin + nin // 2
     assert K[center, center] == pytest.approx(4.0)
@@ -64,7 +106,7 @@ def test_interior_stencil_five_point():
     assert K[center, center - nin - 1] == pytest.approx(0.0, abs=1e-15)
     assert K[center, center + nin + 1] == pytest.approx(0.0, abs=1e-15)
     # interior lumped row mass is h^2, consistent diagonal is h^2 / 2
-    M = restrict_to_interior(assemble_mass(m), m).toarray()
+    M = sys.M.toarray()
     h2 = (1.0 / n) ** 2
     assert M[center, center] == pytest.approx(h2 / 2)
     assert M[center].sum() == pytest.approx(h2)
@@ -72,21 +114,21 @@ def test_interior_stencil_five_point():
 
 def test_mass_positive_definite():
     m = build_structured_mesh(1.0, 1.5, 5, 4)
-    M = restrict_to_interior(assemble_mass(m), m).toarray()
+    M = FemSystem.build(m, 1.0).M.toarray()
     assert np.all(np.linalg.eigvalsh(M) > 0)
 
 
 def test_stiffness_positive_definite_on_interior():
     m = build_structured_mesh(1.5, 1.0, 4, 5)
-    K = restrict_to_interior(assemble_stiffness(m), m).toarray()
+    K = FemSystem.build(m, 1.0).K.toarray()
     assert np.all(np.linalg.eigvalsh(K) > 0)
 
 
 def test_stiffness_rayleigh_quotient_lowest_mode():
     # the discrete lowest Dirichlet eigenvalue converges to 2 pi^2 from above
     m = build_structured_mesh(1.0, 1.0, 16, 16)
-    K = restrict_to_interior(assemble_stiffness(m), m)
-    M = restrict_to_interior(assemble_mass(m), m)
+    sys = FemSystem.build(m, 1.0)
+    K, M = sys.K, sys.M
     v = interior_values(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), m)
     lam = (v @ (K @ v)) / (v @ (M @ v))
     assert 2 * np.pi**2 < lam < 2 * np.pi**2 * 1.02
@@ -236,8 +278,7 @@ def test_second_order_convergence_single_mode():
         mesh, sys = _system(n)
         u0 = interior_values(prob.initial_condition(), mesh)
         traj = cn_solve(sys, u0, prob.T / n, n)
-        pts = mesh.nodes[mesh.interior_ids]
-        exact = single_mode_solution(pts[:, 0], pts[:, 1], prob.T)
+        exact = single_mode_solution(*mesh.interior_nodes(), prob.T)
         errs.append(np.sqrt(np.mean((traj.snapshots[-1] - exact) ** 2)))
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert np.all(orders > 1.7) and np.all(orders < 2.3)
@@ -249,12 +290,11 @@ def test_trajectory_field_matches_snapshots():
                          mesh)
     traj = cn_solve(sys, u0, 0.1, 10)
     f = traj.field()
-    pts = mesh.nodes[mesh.interior_ids]
-    np.testing.assert_allclose(f(pts[:, 0], pts[:, 1], 0.5),
-                               traj.snapshots[5], atol=1e-13)
+    x, y = mesh.interior_nodes()
+    np.testing.assert_allclose(f(x, y, 0.5), traj.snapshots[5], atol=1e-13)
     # halfway between stored levels: linear blend
     mid = 0.5 * (traj.snapshots[5] + traj.snapshots[6])
-    np.testing.assert_allclose(f(pts[:, 0], pts[:, 1], 0.55), mid, atol=1e-13)
+    np.testing.assert_allclose(f(x, y, 0.55), mid, atol=1e-13)
 
 
 def test_full_grids_boundary_zero():
@@ -266,6 +306,22 @@ def test_full_grids_boundary_zero():
     assert np.all(grids[:, -1, :] == 0)
     assert np.all(grids[:, :, 0] == 0)
     assert np.all(grids[:, :, -1] == 0)
+
+
+@pytest.mark.parametrize("nx, ny, n", [(1, 1, 0), (2, 1, 0), (2, 2, 1)])
+def test_tiny_grids_step(nx, ny, n):
+    # no interior unknowns at all, or a single one, still step
+    mesh = build_structured_mesh(1.0, 1.0, nx, ny)
+    sys = FemSystem.build(mesh, 1.0)
+    assert sys.M.shape == sys.K.shape == (n, n)
+    u0 = np.ones(n)
+    for paper_update in (False, True):
+        traj = cn_solve(sys, u0, 0.1, 4, paper_update)
+        assert traj.snapshots.shape == (5, n)
+        assert traj.stats["factorizations"] == 1
+        assert traj.full_grids().shape == (5, ny + 1, nx + 1)
+        if n:
+            assert traj.snapshots[-1, 0] < 0.5   # the single mode swings
 
 
 def test_cn_solve_input_validation():

@@ -67,9 +67,33 @@ def test_mesh_quadrature_integrates_polynomials():
 def test_mesh_quadrature_shapes():
     mesh = build_structured_mesh(2.0, 1.0, 3, 3)
     pts, w = mesh_quadrature(mesh)
-    assert pts.shape == (4 * mesh.n_elements, 2)
-    assert w.shape == (4 * mesh.n_elements,)
+    assert pts.shape == (4 * 2 * 3 * 3, 2)
+    assert w.shape == (4 * 2 * 3 * 3,)
     assert w.sum() == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("dims", [(1.0, 1.0, 12, 12), (1.3, 0.7, 5, 3)])
+def test_mesh_quadrature_bit_identical_to_node_table(dims):
+    # the quadrature built from an explicit node table and element
+    # connectivity, as a general unstructured mesh would store them
+    L1, L2, nx, ny = dims
+    X, Y = np.meshgrid(np.linspace(0.0, L1, nx + 1), np.linspace(0.0, L2, ny + 1))
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    I, J = np.meshgrid(np.arange(nx), np.arange(ny))
+    n00 = (J * (nx + 1) + I).ravel()
+    n10, n01 = n00 + 1, n00 + nx + 1
+    n11 = n01 + 1
+    elements = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    elements[0::2] = np.column_stack([n00, n10, n11])
+    elements[1::2] = np.column_stack([n00, n11, n01])
+    tri = nodes[elements]
+    x, y = tri[:, :, 0], tri[:, :, 1]
+    area = 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    pts = np.einsum("qb,ebd->eqd", _QUAD_BARY, tri).reshape(-1, 2)
+    w = (area[:, None] * _QUAD_W[None, :]).ravel()
+    got_pts, got_w = mesh_quadrature(build_structured_mesh(*dims))
+    assert np.array_equal(got_pts, pts) and np.array_equal(got_w, w)
 
 
 def test_bilinear_interp_exact_for_bilinear():

@@ -200,6 +200,24 @@ def test_report_matches_recorded_values(tmp_path, ic):
         assert got == pytest.approx(want[name], rel=1e-8), name
 
 
+def test_custom_ic_report_needs_write_outputs_off(tmp_path, monkeypatch):
+    fn = lambda x, y: x * (1 - x) * y * (1 - y)     # noqa: E731
+    config = _small_config(tmp_path / "out", ic="custom", ic_params={"fn": fn},
+                           N=4, m=120, ref_nx=16, ref_ny=16, Nt_eval=10)
+    ref = reference.generate_reference(config.problem(), 16, 16,
+                                       config.dt_ref, cache_dir=None)
+    fit = spectral.fit_spectral_model
+    # the check must come before the fit
+    monkeypatch.setattr(spectral, "fit_spectral_model", None)
+    with pytest.raises(ValueError, match="pass write_outputs=False"):
+        run_benchmark(config, ref=ref)
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(spectral, "fit_spectral_model", fit)
+    result = run_benchmark(config, ref=ref, write_outputs=False)
+    assert result.cn_report.st_rel > 0
+    assert not (tmp_path / "out").exists()
+
+
 def test_reference_cache_is_reused(tmp_path):
     config = _small_config(tmp_path, N=4, m=120, ref_nx=32, ref_ny=32,
                            Nt_eval=10)
@@ -301,9 +319,12 @@ def test_cli_requires_subcommand(capsys):
      "N must be an integer"),
     (["fit", "--config", "{tmp}/config.json"], '{"dt_ref": "0.01"}',
      "dt_ref must be a number or null"),
+    (["match", "1600", "--T", "nan"], "", "final time must be positive and finite"),
+    (["match", "1600", "--T", "inf"], "", "final time must be positive and finite"),
 ], ids=["match_0", "negative_seed", "float_N_config", "no_solve",
         "config_not_object", "snapshot_times_not_list", "string_paper_update",
-        "int_ic_params", "string_T", "bool_N", "string_dt_ref"])
+        "int_ic_params", "string_T", "bool_N", "string_dt_ref", "match_T_nan",
+        "match_T_inf"])
 def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys):
     (tmp_path / "config.json").write_text(config)
     with pytest.raises(SystemExit) as exc:
