@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import runner
@@ -72,8 +72,7 @@ def main(argv=None) -> int:
             r = match_cn_to_dof(args.dof, args.T)
         except ValueError as exc:
             parser.error(str(exc))
-        print(json.dumps({"n": r.n, "dt": r.dt, "Nt": r.Nt,
-                          "dof_cn": r.dof_cn, "mismatch": r.mismatch}))
+        print(json.dumps(asdict(r)))
         return 0
 
     try:

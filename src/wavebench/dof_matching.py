@@ -19,7 +19,6 @@ __all__ = ["MatchResult", "dof_cn", "match_cn_to_dof"]
 class MatchResult:
     """Matched FEM resolution for a given effective DoF."""
 
-    dof_ep: float
     n: int
     dt: float
     Nt: int
@@ -54,5 +53,5 @@ def match_cn_to_dof(dof_ep: float, T: float) -> MatchResult:
     best = min({max(n - 1, 2), n},
                key=lambda k: (abs(dof_cn(k, k + 1) - dof_ep), k))
     d = dof_cn(best, best + 1)
-    return MatchResult(dof_ep=float(dof_ep), n=best, dt=T / best, Nt=best,
-                       dof_cn=d, mismatch=abs(d - dof_ep))
+    return MatchResult(n=best, dt=T / best, Nt=best, dof_cn=d,
+                       mismatch=abs(d - dof_ep))

@@ -108,23 +108,27 @@ class FemTrajectory:
         m = self.mesh
 
         def evaluate(x, y, t):
-            k, theta = _time_level(t, self.dt, self.Nt, self.dt * self.Nt)
-            slice_ = (1.0 - theta) * grids[k] + theta * grids[k + 1]
+            slice_ = _at_time(grids, t, self.dt, self.dt * self.Nt)
             return p1_interpolate(slice_, m.L1, m.L2, x, y)
 
         return evaluate
 
 
-def _time_level(t: float, dt: float, Nt: int, T: float):
-    """Level k < Nt and weight theta in [0, 1] with t = (k + theta) dt.
+def _at_time(levels, t: float, dt: float, T: float) -> np.ndarray:
+    """Slice at time t of levels spaced dt apart, linear between levels.
 
     Times within round-off of [0, T] are clamped to the stored levels.
     """
     if t < -1e-12 or t > T * (1 + 1e-12):
         raise ValueError(f"time {t} outside [0, {T}]")
+    levels = np.asarray(levels)             # a memmap's rows as plain views
+    Nt = len(levels) - 1
     s = min(max(t / dt, 0.0), float(Nt))
     k = min(int(s), Nt - 1)
-    return k, s - k
+    theta = s - k
+    if theta == 0.0:
+        return levels[k]
+    return (1.0 - theta) * levels[k] + theta * levels[k + 1]
 
 
 def p1_interpolate(grid: np.ndarray, L1: float, L2: float, x, y) -> np.ndarray:

@@ -105,6 +105,9 @@ class WaveProblem:
         if self.ic == "custom":
             if "fn" not in self.ic_params:
                 raise ValueError("custom initial condition requires ic_params['fn']")
+        elif self.ic == "polynomial" and self.ic_params:
+            raise ValueError(f"the polynomial initial condition takes no "
+                             f"ic_params, got {self.ic_params}")
         else:
             self._check_boundary_zero()
 
@@ -135,9 +138,8 @@ class WaveProblem:
         if self.ic == "polynomial":
             return ic_polynomial
         if self.ic == "mollifier":
-            p = {"x0": 0.3, "y0": 0.7, "R": 0.24}
-            p.update(self.ic_params)
-            return lambda x, y: ic_mollifier(x, y, **p)
+            return lambda x, y: ic_mollifier(x, y, **self.ic_params)
         if self.ic == "single_mode":
-            return lambda x, y: ic_single_mode(x, y, self.L1, self.L2)
+            return lambda x, y: ic_single_mode(x, y, self.L1, self.L2,
+                                               **self.ic_params)
         return self.ic_params["fn"]

@@ -10,6 +10,7 @@ so the peak memory stays at one spatial slice; loading memory-maps.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from .fem import FemSystem, _time_level, cn_steps, interior_values
+from .fem import FemSystem, _at_time, cn_steps, interior_values
 from .mesh import build_structured_mesh
 from .problem import WaveProblem
 
@@ -59,16 +60,7 @@ class ReferenceSolution:
 
     def at_time(self, t: float) -> np.ndarray:
         """Nodal slice at time t by linear interpolation between levels."""
-        k, theta = _time_level(t, self.dt_ref, self.Nt_ref, self.problem.T)
-        if theta == 0.0:
-            return np.asarray(self.values[k])
-        return (1.0 - theta) * np.asarray(self.values[k]) \
-            + theta * np.asarray(self.values[k + 1])
-
-
-def _header_bytes(ref_nx, ref_ny, Nt_ref, problem, dt_ref) -> bytes:
-    return _HEADER.pack(MAGIC, VERSION, ref_nx, ref_ny, Nt_ref,
-                        problem.L1, problem.L2, problem.c, problem.T, dt_ref)
+        return _at_time(self.values, t, self.dt_ref, self.problem.T)
 
 
 def write_reference(ref: ReferenceSolution, path) -> None:
@@ -78,7 +70,8 @@ def write_reference(ref: ReferenceSolution, path) -> None:
 
 
 def _stream_write(path: Path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices):
-    header = _header_bytes(ref_nx, ref_ny, Nt_ref, problem, dt_ref)
+    header = _HEADER.pack(MAGIC, VERSION, ref_nx, ref_ny, Nt_ref, problem.L1,
+                          problem.L2, problem.c, problem.T, dt_ref)
     h = _digest()
     h.update(header)
     # a private temp file per writer, so concurrent writers never share one
@@ -131,21 +124,31 @@ def load_reference(path, problem: WaveProblem) -> ReferenceSolution:
     return ReferenceSolution(problem, nx, ny, dt, Nt, values)
 
 
+@functools.cache
+def _solver_fingerprint() -> str:
+    """Digest of the source that computes reference values, read once."""
+    h = hashlib.blake2b(digest_size=8)
+    for name in ("fem.py", "mesh.py", "problem.py", "reference.py"):
+        h.update(Path(__file__).with_name(name).read_bytes())
+    return h.hexdigest()
+
+
 def cache_filename(problem: WaveProblem, ref_nx: int, ref_ny: int,
                    Nt_ref: int) -> str:
-    """Deterministic cache name from the full problem fingerprint."""
-    fp = json.dumps({"version": VERSION, "ic": problem.ic,
-                     "params": problem.ic_params, "L1": problem.L1,
-                     "L2": problem.L2, "c": problem.c, "T": problem.T},
-                    sort_keys=True)
+    """Deterministic cache name from the problem and solver fingerprints."""
+    fp = json.dumps({"version": VERSION, "solver": _solver_fingerprint(),
+                     "ic": problem.ic, "params": problem.ic_params,
+                     "L1": problem.L1, "L2": problem.L2, "c": problem.c,
+                     "T": problem.T}, sort_keys=True)
     tag = hashlib.sha1(fp.encode()).hexdigest()[:10]
     return f"ref_{problem.ic}_{ref_nx}x{ref_ny}_nt{Nt_ref}_{tag}.wben"
 
 
 def step_count(T: float, dt_ref: float) -> int:
     """Number of reference steps over [0, T]; dt_ref must divide T."""
-    if dt_ref <= 0:
-        raise ValueError("reference time step must be positive")
+    if not 0 < dt_ref < np.inf:
+        raise ValueError(f"reference time step must be positive and finite, "
+                         f"got {dt_ref}")
     Nt_ref = int(round(T / dt_ref))
     if abs(Nt_ref * dt_ref - T) > 1e-9 * T or Nt_ref < 1:
         raise ValueError(f"dt_ref={dt_ref} must divide the horizon T={T} "

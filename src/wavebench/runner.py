@@ -131,24 +131,18 @@ class BenchmarkResult:
     fit_seconds: float
     solve_seconds: float
 
-    def rows(self):
-        """CSV rows in the layout of the accuracy tables."""
-        ep, cn = self.ep_report, self.cn_report
-        return [
-            [self.config.ic, "bepgp", ep.st_l2, ep.st_rel, ep.linf_l2,
-             ep.linf_rel, self.improvement_st, self.model.edof,
-             self.fit_seconds],
-            [self.config.ic, "cn_fem", cn.st_l2, cn.st_rel, cn.linf_l2,
-             cn.linf_rel, self.improvement_st, self.match.dof_cn,
-             self.solve_seconds],
-        ]
-
     def csv_text(self) -> str:
+        """One CSV row per solver, in the layout of the accuracy tables."""
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(CSV_HEADER)
-        for row in self.rows():
-            w.writerow([_fmt(v) for v in row])
+        for name, rep, dof, seconds in (
+                ("bepgp", self.ep_report, self.model.edof, self.fit_seconds),
+                ("cn_fem", self.cn_report, self.match.dof_cn,
+                 self.solve_seconds)):
+            w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in (
+                self.config.ic, name, rep.st_l2, rep.st_rel, rep.linf_l2,
+                rep.linf_rel, self.improvement_st, dof, seconds)])
         return buf.getvalue()
 
     def to_dict(self) -> dict:
@@ -156,9 +150,7 @@ class BenchmarkResult:
             "config": asdict(self.config),
             "lambda": self.model.lam,
             "edof": self.model.edof,
-            "match": {"n": self.match.n, "dt": self.match.dt,
-                      "Nt": self.match.Nt, "dof_cn": self.match.dof_cn,
-                      "mismatch": self.match.mismatch},
+            "match": asdict(self.match),
             "bepgp": self.ep_report.to_dict(),
             "cn_fem": self.cn_report.to_dict(),
             "improvement_st": self.improvement_st,
@@ -170,12 +162,6 @@ class BenchmarkResult:
 
 def _time_label(t) -> str:
     return f"t{t:.2f}"
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return v
 
 
 def get_reference(config: ExperimentConfig, cache=True):
@@ -194,35 +180,31 @@ def fit_surrogate(config: ExperimentConfig) -> tuple[spectral.SpectralModel, flo
     return model, time.perf_counter() - t0
 
 
-def solve_matched_fem(config: ExperimentConfig, match):
-    """Run the DoF-matched Crank-Nicolson solve, timed."""
+def run_benchmark(config: ExperimentConfig, ref=None,
+                  write_outputs: bool = True) -> BenchmarkResult:
+    """Full DoF-matched benchmark for one initial condition."""
+    # a callable has no JSON form for the report and no cache name
+    if config.ic == "custom" and (write_outputs or ref is None):
+        raise ValueError("custom initial conditions cannot be written to a "
+                         "report or cached; pass write_outputs=False and ref="
+                         "generate_reference(..., cache_dir=None)")
+    if ref is None:
+        ref = get_reference(config)
+
+    model, fit_s = fit_surrogate(config)
+    match = match_cn_to_dof(model.edof, config.T)
     problem = config.problem()
     mesh = build_structured_mesh(problem.L1, problem.L2, match.n, match.n)
     t0 = time.perf_counter()
     system = fem.FemSystem.build(mesh, problem.c)
     u0 = fem.interior_values(problem.initial_condition(), mesh)
     traj = fem.cn_solve(system, u0, match.dt, match.Nt, config.paper_update)
-    return traj, mesh, time.perf_counter() - t0
-
-
-def run_benchmark(config: ExperimentConfig, ref=None,
-                  write_outputs: bool = True) -> BenchmarkResult:
-    """Full DoF-matched benchmark for one initial condition."""
-    if write_outputs and config.ic == "custom":     # a callable has no JSON form
-        raise ValueError("custom initial conditions cannot be written to a "
-                         "report; pass write_outputs=False")
-    if ref is None:
-        ref = get_reference(config)
-
-    model, fit_s = fit_surrogate(config)
-    match = match_cn_to_dof(model.edof, config.T)
-    traj, eval_mesh, solve_s = solve_matched_fem(config, match)
+    solve_s = time.perf_counter() - t0
 
     ep_field = lambda x, y, t: spectral.predict(model, x, y, t)
-    cn_field = traj.field()
-    ep_report = metrics.compute_error_report(ep_field, ref, eval_mesh,
+    ep_report = metrics.compute_error_report(ep_field, ref, mesh,
                                              config.Nt_eval)
-    cn_report = metrics.compute_error_report(cn_field, ref, eval_mesh,
+    cn_report = metrics.compute_error_report(traj.field(), ref, mesh,
                                              config.Nt_eval)
 
     result = BenchmarkResult(
@@ -252,42 +234,27 @@ def emit_snapshots(config: ExperimentConfig, model, traj, ref,
     """
     out = Path(out_dir or config.output_dir) / "snapshots"
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    ref_xs = np.linspace(0.0, config.L1, ref.grid_nx + 1)
-    ref_ys = np.linspace(0.0, config.L2, ref.grid_ny + 1)
-    ep_xs = np.linspace(0.0, config.L1, 51)
-    ep_ys = np.linspace(0.0, config.L2, 51)
+    ref_X, ref_Y = np.meshgrid(*build_structured_mesh(
+        config.L1, config.L2, ref.grid_nx, ref.grid_ny).axes())
+    ep_X, ep_Y = np.meshgrid(*build_structured_mesh(
+        config.L1, config.L2, 50, 50).axes())
     cn_field = traj.field()
-    ep_field = lambda x, y, t: spectral.predict(model, x, y, t)
-
-    def on_grid(field_, xs, ys, t):
-        X, Y = np.meshgrid(xs, ys)
-        return field_(X.ravel(), Y.ravel(), t).reshape(X.shape), xs, ys
-
+    written = []
     for t in config.snapshot_times:
-        grids = {
-            "reference": (ref.at_time(t), ref_xs, ref_ys),
-            "cn_fem": on_grid(cn_field, ref_xs, ref_ys, t),
-            "bepgp": on_grid(ep_field, ep_xs, ep_ys, t),
-        }
-        for name, (grid, xs, ys) in grids.items():
-            grid = np.array(grid, dtype=float)
+        for name, X, Y, values in (
+                ("reference", ref_X, ref_Y, ref.at_time(t)),
+                ("cn_fem", ref_X, ref_Y,
+                 cn_field(ref_X.ravel(), ref_Y.ravel(), t)),
+                ("bepgp", ep_X, ep_Y,
+                 spectral.predict(model, ep_X.ravel(), ep_Y.ravel(), t))):
+            grid = np.array(values, dtype=float).reshape(X.shape)
             grid[0, :] = 0.0
             grid[-1, :] = 0.0
             grid[:, 0] = 0.0
             grid[:, -1] = 0.0
             path = out / f"{config.ic}_{name}_{_time_label(t)}.csv"
-            _write_grid_csv(path, grid, xs, ys)
+            rows = np.column_stack([X.ravel(), Y.ravel(), grid.ravel()])
+            np.savetxt(path, rows, fmt="%.12g", delimiter=",",
+                       header="x,y,value", comments="")
             written.append(path)
     return written
-
-
-def _write_grid_csv(path, grid, xs, ys):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["x", "y", "value"])
-        for iy, yv in enumerate(ys):
-            for ix, xv in enumerate(xs):
-                w.writerow([_fmt(float(xv)), _fmt(float(yv)),
-                            _fmt(float(grid[iy, ix]))])

@@ -24,7 +24,7 @@ Weight / column order: (j, k) lexicographic with j outer, i.e. column
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -318,10 +318,7 @@ class SpectralModel:
 
     def to_json(self) -> str:
         doc = {
-            "N": self.basis.N,
-            "L1": self.basis.L1,
-            "L2": self.basis.L2,
-            "c": self.basis.c,
+            **asdict(self.basis),
             "lambda": self.lam,
             "edof": self.edof,
             "seed": self.diagnostics.get("seed"),

@@ -87,8 +87,12 @@ def test_problem_validation():
     (dict(ic="mollifier", ic_params={"x0": 0.1}), "not zero on the boundary"),
     (dict(ic="mollifier", ic_params={"R": -1}), "support radius"),
     (dict(ic="mollifier", ic_params={"radius": 0.2}), "radius"),
+    (dict(ic="polynomial", ic_params={"R": 0.1}), "takes no ic_params"),
+    (dict(ic="single_mode", ic_params={"R": 0.1}), "unexpected keyword"),
+    (dict(ic="single_mode", ic_params={"L1": 2.0}), "multiple values"),
 ], ids=["polynomial_L1", "polynomial_L2", "mollifier_L1", "mollifier_x0",
-        "mollifier_R", "mollifier_unknown_param"])
+        "mollifier_R", "mollifier_unknown_param", "polynomial_params",
+        "single_mode_unknown_param", "single_mode_L1_param"])
 def test_problem_rejects_unusable_initial_condition(kwargs, message):
     with pytest.raises(ValueError, match=message):
         WaveProblem(**kwargs)

@@ -216,6 +216,37 @@ def test_cache_filename_tracks_format_version(monkeypatch):
     assert other.startswith("ref_polynomial_100x100_nt200_")
 
 
+def test_cache_filename_tracks_solver(monkeypatch):
+    prob = WaveProblem(ic="polynomial")
+    reference._solver_fingerprint()
+    # the sources are read once per process, not once per name
+    monkeypatch.setattr(reference.Path, "read_bytes", None)
+    name = cache_filename(prob, 100, 100, 200)
+    monkeypatch.setattr(reference, "_solver_fingerprint", lambda: "other")
+    other = cache_filename(prob, 100, 100, 200)
+    assert other != name
+    assert other.startswith("ref_polynomial_100x100_nt200_")
+
+
+def test_reference_from_other_solver_is_not_loaded(tmp_path, monkeypatch):
+    prob, ref = _small_ref()
+    fingerprint = reference._solver_fingerprint
+    # a valid file under another solver's name, with that solver's values
+    monkeypatch.setattr(reference, "_solver_fingerprint", lambda: "older")
+    old_path = tmp_path / cache_filename(prob, 6, 6, 12)
+    write_reference(ReferenceSolution(prob, 6, 6, ref.dt_ref, 12,
+                                      2.0 * np.asarray(ref.values)), old_path)
+    old_bytes, old_mtime = old_path.read_bytes(), old_path.stat().st_mtime_ns
+    monkeypatch.setattr(reference, "_solver_fingerprint", fingerprint)
+    again = generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    np.testing.assert_array_equal(np.asarray(again.values),
+                                  np.asarray(ref.values))
+    assert sorted(tmp_path.iterdir()) == sorted(
+        [old_path, tmp_path / cache_filename(prob, 6, 6, 12)])
+    assert old_path.read_bytes() == old_bytes
+    assert old_path.stat().st_mtime_ns == old_mtime
+
+
 def test_custom_ic_rejected_with_cache_dir(tmp_path, monkeypatch):
     prob = WaveProblem(ic="custom", ic_params={"fn": lambda x, y: x * y})
     # the check must come before any mesh is built
@@ -249,3 +280,6 @@ def test_dt_validation():
         generate_reference(prob, 6, 6, -0.1)
     with pytest.raises(ValueError):
         generate_reference(prob, 6, 6, 0.3)      # does not divide T = 1
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            generate_reference(prob, 6, 6, dt)

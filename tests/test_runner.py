@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wavebench import cli, reference, spectral
+from wavebench.mesh import build_structured_mesh
 from wavebench.runner import (ExperimentConfig, run_benchmark, emit_snapshots,
                               get_reference, CSV_HEADER)
 
@@ -212,6 +213,11 @@ def test_custom_ic_report_needs_write_outputs_off(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="pass write_outputs=False"):
         run_benchmark(config, ref=ref)
     assert not (tmp_path / "out").exists()
+    # without a reference it names the in-memory one to pass
+    with pytest.raises(ValueError, match=r"ref=generate_reference\(\.\.\., "
+                                         r"cache_dir=None\)"):
+        run_benchmark(config, write_outputs=False)
+    assert not (tmp_path / "out").exists()
     monkeypatch.setattr(spectral, "fit_spectral_model", fit)
     result = run_benchmark(config, ref=ref, write_outputs=False)
     assert result.cn_report.st_rel > 0
@@ -253,6 +259,38 @@ def test_emit_snapshots(small_result, tmp_path):
     for y in ys:
         assert grid[(xs[0], y)] == 0.0
         assert grid[(xs[-1], y)] == 0.0
+
+
+def test_snapshot_file_layout(tmp_path):
+    config = _small_config(tmp_path, N=4, m=120, ref_nx=16, ref_ny=16,
+                           Nt_eval=10, snapshot_times=[0.0, 0.35])
+    ref = get_reference(config)
+    result = run_benchmark(config, ref=ref, write_outputs=False)
+    files = emit_snapshots(config, result.model, result.trajectory, ref)
+    assert [p.name for p in files] == [
+        f"polynomial_{name}_t{t}.csv" for t in ("0.00", "0.35")
+        for name in ("reference", "cn_fem", "bepgp")]
+    xs, ys = build_structured_mesh(1.0, 1.0, 16, 16).axes()
+    for t, path in ((0.0, files[0]), (0.35, files[3])):
+        # the reference file is a csv rendering of its nodal slice, y outer
+        expected = io.StringIO()
+        w = csv.writer(expected, lineterminator="\n")
+        w.writerow(["x", "y", "value"])
+        grid = ref.at_time(t)
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                w.writerow([f"{v:.12g}" for v in (x, y, grid[iy, ix])])
+        assert path.read_text() == expected.getvalue()
+    ep_axes = build_structured_mesh(1.0, 1.0, 50, 50).axes()
+    for path in files:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x,y,value"
+        n, (gx, gy) = (51, ep_axes) if "bepgp" in path.name else (17, (xs, ys))
+        assert len(lines) == 1 + n * n
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            f"{x:.12g},{y:.12g}" for y in gy for x in gx]
+        values = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert values == [f"{float(v):.12g}" for v in values]
 
 
 # ------------------------------------------------------------------- cli
@@ -321,10 +359,12 @@ def test_cli_requires_subcommand(capsys):
      "dt_ref must be a number or null"),
     (["match", "1600", "--T", "nan"], "", "final time must be positive and finite"),
     (["match", "1600", "--T", "inf"], "", "final time must be positive and finite"),
+    (["fit", "--config", "{tmp}/config.json"], '{"dt_ref": NaN}',
+     "reference time step must be positive and finite"),
 ], ids=["match_0", "negative_seed", "float_N_config", "no_solve",
         "config_not_object", "snapshot_times_not_list", "string_paper_update",
         "int_ic_params", "string_T", "bool_N", "string_dt_ref", "match_T_nan",
-        "match_T_inf"])
+        "match_T_inf", "nan_dt_ref"])
 def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys):
     (tmp_path / "config.json").write_text(config)
     with pytest.raises(SystemExit) as exc:
