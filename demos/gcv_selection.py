@@ -4,8 +4,10 @@ The surrogate's coefficients come from a ridge regression of the sampled
 initial condition onto the sine basis. One ridge fit factors the design
 matrix and projects the samples onto it once; generalized cross-validation
 then scores every candidate ridge parameter from that fit alone. This
-script prints a slice of the GCV curve around the winning lambda and the
-resulting effective degrees of freedom.
+script prints a slice of the GCV curve around the winning lambda, the
+resulting effective degrees of freedom, and which factorization the fit
+used (the tridiagonal reduction of the Gram matrix, or the direct SVD
+fallback) with the Gram eigenvalue ratio it was chosen by.
 
 Run:  python3 demos/gcv_selection.py
 """
@@ -40,6 +42,10 @@ def main():
           f"edof = {edof:.1f}, score = {score:.6e}")
 
     model = spectral.fit_spectral_model(problem, N, m, seed=0)
+    d = model.diagnostics
+    print(f"factorization: {d['factor']}, Gram eigenvalue ratio "
+          f"{d['ev_ratio']:.2f}, lambda at a grid end: "
+          f"{d['lambda_at_grid_edge']}")
     mid = float(spectral.predict(model, 0.5, 0.5, 0.0))
     print(f"fitted model reproduces u0(0.5, 0.5) = 1/16: {mid:.8f}")
 

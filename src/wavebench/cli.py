@@ -103,9 +103,8 @@ def main(argv=None) -> int:
 
     if args.command == "snapshots":
         ref = runner.get_reference(config)
-        result = runner.run_benchmark(config, ref=ref, write_outputs=False)
-        files = runner.emit_snapshots(config, result.model,
-                                      result.trajectory, ref)
+        model, _, traj, *_ = runner.fit_and_solve(config)
+        files = runner.emit_snapshots(config, model, traj, ref)
         print(f"wrote {len(files)} snapshot files to "
               f"{Path(config.output_dir) / 'snapshots'}")
         return 0

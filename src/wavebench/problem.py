@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -102,12 +103,19 @@ class WaveProblem:
         if self.ic not in IC_NAMES:
             raise ValueError(f"unknown initial condition {self.ic!r}; "
                              f"expected one of {IC_NAMES}")
+        params = dict(self.ic_params)
+        if self.ic != "custom":
+            if not all(map(is_real_number, params.values())):
+                raise ValueError(f"ic_params values must be numbers, got {params}")
+            params = {k: float(v) for k, v in params.items()}
+        # a read-only copy, so no change after these checks can skip them
+        object.__setattr__(self, "ic_params", MappingProxyType(params))
         if self.ic == "custom":
-            if "fn" not in self.ic_params:
+            if "fn" not in params:
                 raise ValueError("custom initial condition requires ic_params['fn']")
-        elif self.ic == "polynomial" and self.ic_params:
+        elif self.ic == "polynomial" and params:
             raise ValueError(f"the polynomial initial condition takes no "
-                             f"ic_params, got {self.ic_params}")
+                             f"ic_params, got {params}")
         else:
             self._check_boundary_zero()
 
@@ -126,7 +134,7 @@ class WaveProblem:
             u0 = np.asarray(self.initial_condition()(x, y), dtype=float)
         except (TypeError, ValueError) as exc:       # bad ic_params
             raise ValueError(f"initial condition {self.ic!r} with ic_params "
-                             f"{self.ic_params} failed: {exc}") from exc
+                             f"{dict(self.ic_params)} failed: {exc}") from exc
         worst = float(np.max(np.abs(u0)))
         if not worst <= 1e-12:
             raise ValueError(

@@ -137,7 +137,7 @@ def cache_filename(problem: WaveProblem, ref_nx: int, ref_ny: int,
                    Nt_ref: int) -> str:
     """Deterministic cache name from the problem and solver fingerprints."""
     fp = json.dumps({"version": VERSION, "solver": _solver_fingerprint(),
-                     "ic": problem.ic, "params": problem.ic_params,
+                     "ic": problem.ic, "params": dict(problem.ic_params),
                      "L1": problem.L1, "L2": problem.L2, "c": problem.c,
                      "T": problem.T}, sort_keys=True)
     tag = hashlib.sha1(fp.encode()).hexdigest()[:10]

@@ -8,7 +8,6 @@ and a JSON document; snapshot grids can be exported for plotting.
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
@@ -105,9 +104,8 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=2)
 
     def problem(self) -> WaveProblem:
-        # a shallow copy that leaves a non-dict for WaveProblem to reject
         return WaveProblem(self.L1, self.L2, self.c, self.T, self.ic,
-                           copy.copy(self.ic_params))
+                           self.ic_params)
 
     def paper_scale(self) -> "ExperimentConfig":
         """Copy of this config at the full 400 x 400 reference resolution."""
@@ -150,6 +148,8 @@ class BenchmarkResult:
             "config": asdict(self.config),
             "lambda": self.model.lam,
             "edof": self.model.edof,
+            "fit": {k: self.model.diagnostics[k] for k in
+                    ("factor", "ev_ratio", "lambda_at_grid_edge")},
             "match": asdict(self.match),
             "bepgp": self.ep_report.to_dict(),
             "cn_fem": self.cn_report.to_dict(),
@@ -180,6 +180,20 @@ def fit_surrogate(config: ExperimentConfig) -> tuple[spectral.SpectralModel, flo
     return model, time.perf_counter() - t0
 
 
+def fit_and_solve(config: ExperimentConfig):
+    """Fit, match the CN resolution to the fit's DoF and run that solve:
+    (model, match, trajectory, fit_seconds, solve_seconds)."""
+    model, fit_s = fit_surrogate(config)
+    match = match_cn_to_dof(model.edof, config.T)
+    problem = config.problem()
+    mesh = build_structured_mesh(problem.L1, problem.L2, match.n, match.n)
+    t0 = time.perf_counter()
+    system = fem.FemSystem.build(mesh, problem.c)
+    u0 = fem.interior_values(problem.initial_condition(), mesh)
+    traj = fem.cn_solve(system, u0, match.dt, match.Nt, config.paper_update)
+    return model, match, traj, fit_s, time.perf_counter() - t0
+
+
 def run_benchmark(config: ExperimentConfig, ref=None,
                   write_outputs: bool = True) -> BenchmarkResult:
     """Full DoF-matched benchmark for one initial condition."""
@@ -191,20 +205,11 @@ def run_benchmark(config: ExperimentConfig, ref=None,
     if ref is None:
         ref = get_reference(config)
 
-    model, fit_s = fit_surrogate(config)
-    match = match_cn_to_dof(model.edof, config.T)
-    problem = config.problem()
-    mesh = build_structured_mesh(problem.L1, problem.L2, match.n, match.n)
-    t0 = time.perf_counter()
-    system = fem.FemSystem.build(mesh, problem.c)
-    u0 = fem.interior_values(problem.initial_condition(), mesh)
-    traj = fem.cn_solve(system, u0, match.dt, match.Nt, config.paper_update)
-    solve_s = time.perf_counter() - t0
-
+    model, match, traj, fit_s, solve_s = fit_and_solve(config)
     ep_field = lambda x, y, t: spectral.predict(model, x, y, t)
-    ep_report = metrics.compute_error_report(ep_field, ref, mesh,
+    ep_report = metrics.compute_error_report(ep_field, ref, traj.mesh,
                                              config.Nt_eval)
-    cn_report = metrics.compute_error_report(traj.field(), ref, mesh,
+    cn_report = metrics.compute_error_report(traj.field(), ref, traj.mesh,
                                              config.Nt_eval)
 
     result = BenchmarkResult(

@@ -4,18 +4,17 @@ Each basis function sin(j pi x / L1) sin(k pi y / L2) cos(w_{jk} t) with
 w_{jk} = c pi sqrt((j/L1)^2 + (k/L2)^2) satisfies the wave equation and the
 homogeneous Dirichlet condition exactly, so only the weights are fitted.
 Fitting samples the initial displacement on a Latin hypercube design and
-solves a ridge problem through one factorization of the design matrix Phi,
-whose ridge parameter is selected by generalized cross-validation. The
-m x N^2 matrix Phi is never formed on the usual route: the product-to-sum
-identity sin a sin b = (cos(a - b) - cos(a + b)) / 2 turns the Gram matrix
-Phi^T Phi into a gather from the (2N+1)^2 cosine moments of the samples,
-and Phi^T u into a product of the two m x N sine tables. `eigh` of that
-Gram matrix gives the singular values and right singular vectors when Phi
-is well conditioned (the LHS sine design is nearly orthogonal); otherwise
-Phi is formed and factored by a direct SVD. The left singular vectors U
-are not kept: every ridge and GCV quantity needs only U^T u, which is
-Vt (Phi^T u) / s. `ridge_fit_svd` forms it once, so a `RidgeSVD` is the
-fit of one sample vector and its GCV search takes no further input.
+solves a ridge problem whose parameter is selected by generalized
+cross-validation. The m x N^2 design Phi is never formed on the usual
+route: the product-to-sum identity sin a sin b = (cos(a - b) - cos(a + b)) / 2
+turns Phi^T Phi into a gather from the (2N+1)^2 cosine moments of the
+samples, and Phi^T u into a product of the two m x N sine tables. As in
+Elden (BIT 24, 1984), who evaluates GCV after one bidiagonal reduction, one
+tridiagonal reduction Phi^T Phi = Q T Q^T serves the whole GCV search and
+forms no eigenvector: T's eigenvalues give the singular values and so the
+effective DoF, residuals and weights come from solves with T + lambda I,
+and Q is applied to two vectors. Designs with cond(Phi) above 1e3 are
+formed and factored by a direct SVD, a diagonal T for the same formulas.
 
 Weight / column order: (j, k) lexicographic with j outer, i.e. column
 (j-1)*N + (k-1) holds mode (j, k).
@@ -24,9 +23,12 @@ Weight / column order: (j, k) lexicographic with j outer, i.e. column
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "SpectralBasis",
@@ -120,7 +122,9 @@ class DesignMatrix:
         add = j[:, None] + j[None, :]
         # y direction first: Mk[d, k, k'], with the exact factor 1/4
         Mk = 0.25 * (self.moments[:, diff] - self.moments[:, add])
-        G = np.empty((N * N, N * N))
+        # an anonymous mapping goes back to the OS when the fit drops it; a
+        # freed heap block of this size can stay resident in the process
+        G = np.frombuffer(mmap.mmap(-1, 8 * N**4)).reshape(N * N, N * N)
         rows = G.reshape(N, N, N, N)                # [j, k, j', k']
         for jj in range(N):          # a block row at a time: no N^4 temporaries
             np.subtract(Mk[diff[jj]], Mk[add[jj]],
@@ -164,36 +168,50 @@ def build_design_matrix(points: np.ndarray, basis: SpectralBasis) -> DesignMatri
                         cx.T @ cy)
 
 
+def _tri_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve T x = rhs for the positive definite tridiagonal T = (d, e)."""
+    *_, x, info = lapack.dptsv(d, e, rhs[:, None])
+    if info:
+        raise np.linalg.LinAlgError("ridge system is not positive definite")
+    return x[:, 0]
+
+
 @dataclass(frozen=True)
 class RidgeSVD:
-    """Ridge fit of one observation vector u through Phi = U diag(s) Vt.
+    """Ridge fit of one observation vector u to an m x n design Phi.
 
-    U is not kept: the weights, residual and GCV score need it only through
-    the projection a = U^T u = Vt (Phi^T u) / s, which `ridge_fit_svd` forms
-    once, together with u^T u and the sample count m.
+    Phi^T Phi = Q T Q^T with Q orthogonal and T symmetric tridiagonal
+    (diagonal d, off-diagonal e); s are the singular values of Phi. The fit
+    keeps c = Q^T Phi^T u and the squared norm of u outside col(Phi),
+    u^T u - c^T T^-1 c, so each ridge parameter costs tridiagonal solves;
+    `q` (y -> Q y) is applied only to form the weights.
     """
 
     s: np.ndarray
-    Vt: np.ndarray
-    a: np.ndarray
-    uu: float
-    m: int
+    d: np.ndarray
+    e: np.ndarray
+    c: np.ndarray
+    out_of_range: float
+    shape: tuple
+    q: Callable
+    factor: str                      # "tridiagonal" or "svd"
 
     def coefficients(self, lam: float) -> np.ndarray:
         if lam < 0:
             raise ValueError("ridge parameter must be nonnegative")
-        tol = max(self.m, self.Vt.shape[1]) * np.finfo(float).eps * self.s[0]
+        tol = max(self.shape) * np.finfo(float).eps * self.s[0]
         if lam == 0 and self.s[-1] <= tol:
             raise np.linalg.LinAlgError(
                 "design matrix is rank deficient; a positive ridge parameter "
                 "is required")
-        return self.Vt.T @ (self.s / (self.s**2 + lam) * self.a)
+        return self.q(_tri_solve(self.d + lam, self.e, self.c))
 
     def rss(self, lam: float) -> float:
-        """Residual sum of squares ||u - Phi w_lam||^2 via the spectral filter."""
-        out_of_range = float(self.uu - self.a @ self.a)   # outside col(Phi)
-        shrunk = (lam / (self.s**2 + lam)) * self.a
-        return max(out_of_range, 0.0) + float(shrunk @ shrunk)
+        """||u - Phi w_lam||^2: the part outside col(Phi) plus
+        lam^2 y^T T^-1 y, with y = (T + lam I)^-1 c."""
+        y = _tri_solve(self.d + lam, self.e, self.c)
+        shrunk = lam**2 * float(y @ _tri_solve(self.d, self.e, y))
+        return max(self.out_of_range, 0.0) + shrunk
 
     def edof(self, lam: float) -> float:
         """Trace of the hat matrix, sum of s_i^2 / (s_i^2 + lam)."""
@@ -205,16 +223,40 @@ class RidgeSVD:
         """GCV(lam) = ||u - Phi w_lam||^2 / (m - tr(H_lam))^2."""
         if lam <= 0:
             raise ValueError("GCV requires a strictly positive ridge parameter")
-        return self.rss(lam) / (self.m - self.edof(lam)) ** 2
+        return self.rss(lam) / (self.shape[0] - self.edof(lam)) ** 2
+
+
+def _reduce_gram(G: np.ndarray, b: np.ndarray):
+    """(s, d, e, Q^T b, y -> Q y) from LAPACK's dsytrd of G = Phi^T Phi in
+    G's own buffer, or None past `_GRAM_MAX_EV_RATIO`."""
+    n = G.shape[0]
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    # G is symmetric, so G.T is a Fortran-order view that dsytrd overwrites
+    A, d, e, tau, _ = lapack.dsytrd(G.T, lower=1, lwork=lwork, overwrite_a=1)
+    # the LAPACK wrappers want an off-diagonal of length >= 1, also at n = 1
+    e = np.append(e, 0.0)[:max(n - 1, 1)]
+    ev = lapack.dsterf(d, e)[0]                         # ascending
+    if not (ev[0] > 0 and ev[-1] <= _GRAM_MAX_EV_RATIO * ev[0]):
+        return None
+    # Q = diag(1, Q'); dormqr takes Q' as dormtr passes it: rows 2..n of A
+    # as a Fortran view with lda = n (A[1:, :-1] is copied on every call)
+    refl = A.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
+
+    def qmul(v, trans):
+        out = v.copy()
+        if n > 1:    # no empty reflector block; lwork = 1: unblocked, no query
+            out[1:] = lapack.dormqr("L", trans, refl, tau, v[1:, None], 1)[0][:, 0]
+        return out
+    return np.sqrt(ev[::-1]), d, e, qmul(b, "T"), lambda y: qmul(y, "N")
 
 
 def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray) -> RidgeSVD:
     """Factor the design Phi and project the observations u onto it, once.
 
-    s and Vt come from `eigh` of the Gram matrix Phi^T Phi when Phi is tall
-    and cond(Phi) is at most 1e3, else from `np.linalg.svd`. A `DesignMatrix`
-    supplies Phi^T Phi and Phi^T u from its tables; a plain array uses A^T A
-    and A^T u. Directions with s at round-off level get a = 0.
+    A tall Phi with cond(Phi) <= 1e3 takes one tridiagonal reduction of
+    Phi^T Phi; any other takes `np.linalg.svd`: T = diag(s^2), Q = V, and
+    directions with s at round-off level get c = 0 and a unit pivot. A plain
+    array stands in for a `DesignMatrix` through A^T A and A^T u.
     """
     if isinstance(Phi, DesignMatrix):
         tables, gram, rmatvec = (Phi.sx, Phi.sy), Phi.gram, Phi.rmatvec
@@ -229,17 +271,17 @@ def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray) -> RidgeSVD:
     m, n = Phi.shape
     if u.shape != (m,):
         raise ValueError("observation vector length does not match the design")
-    s = None
-    if m >= n:
-        ev, V = np.linalg.eigh(gram())                      # ascending
-        if ev[0] > 0 and ev[-1] <= _GRAM_MAX_EV_RATIO * ev[0]:
-            s, Vt = np.sqrt(ev[::-1]), V[:, ::-1].T
-    if s is None:
+    b = rmatvec(u)
+    reduced = _reduce_gram(gram(), b) if m >= n else None
+    if reduced is not None:
+        (s, d, e, c, q), factor = reduced, "tridiagonal"
+    else:
         _, s, Vt = np.linalg.svd(dense(), full_matrices=False)
-    b = Vt @ rmatvec(u)
-    tol = max(m, n) * np.finfo(float).eps * s[0]
-    a = np.divide(b, s, out=np.zeros_like(b), where=s > tol)
-    return RidgeSVD(s, Vt, a, float(u @ u), m)
+        keep = s > max(m, n) * np.finfo(float).eps * s[0]
+        c, d = np.where(keep, Vt @ b, 0.0), np.where(keep, s**2, 1.0)
+        e, q, factor = np.zeros(max(s.size - 1, 1)), Vt.T.__matmul__, "svd"
+    out_of_range = float(u @ u - c @ _tri_solve(d, e, c))
+    return RidgeSVD(s, d, e, c, out_of_range, (m, n), q, factor)
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -337,21 +379,33 @@ class SpectralModel:
 
 
 def fit_spectral_model(problem, N: int, m: int, seed: int = 0) -> SpectralModel:
-    """Full fitting pipeline: sample, design matrix, SVD, GCV, weights.
+    """Full fitting pipeline: sample, design matrix, factorization, GCV, weights.
 
-    The ridge parameter is searched over `default_lambda_grid()`.
+    The ridge parameter is searched over `default_lambda_grid()`. The
+    diagnostics name the factorization, the eigenvalue ratio of Phi^T Phi
+    (None if singular) and whether the grid's GCV minimum is at its end.
     """
     basis = SpectralBasis(N, problem.L1, problem.L2, problem.c)
     pts = lhs_sample(m, problem.L1, problem.L2, seed=seed)
     Phi = build_design_matrix(pts, basis)
     u = np.asarray(problem.initial_condition()(pts[:, 0], pts[:, 1]), dtype=float)
     fit = ridge_fit_svd(Phi, u)
-    lam, edof, score = select_lambda_gcv(fit)
+    grid = default_lambda_grid()
+    lam, edof, score = select_lambda_gcv(fit, grid)
+    with np.errstate(all="ignore"):
+        ratio = (fit.s[0] / fit.s[-1]) ** 2 if fit.s.size == N * N else np.inf
+    # the refinement stays within a grid step of the grid minimizer, and
+    # grid ties go to the larger value, so the end intervals tell
+    edge = bool((lam < grid[1] and fit.gcv(grid[0]) < fit.gcv(grid[1]))
+                or (lam > grid[-2] and fit.gcv(grid[-1]) <= fit.gcv(grid[-2])))
     diagnostics = {
         "seed": seed,
         "m": m,
         "gcv_score": score,
         "residual_norm": float(np.sqrt(fit.rss(lam))),
+        "factor": fit.factor,
+        "ev_ratio": float(ratio) if np.isfinite(ratio) else None,
+        "lambda_at_grid_edge": edge,
     }
     return SpectralModel(basis, fit.coefficients(lam), lam, edof, diagnostics)
 

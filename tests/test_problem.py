@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wavebench import reference
 from wavebench.problem import (WaveProblem, ic_polynomial, ic_mollifier,
                                ic_single_mode, single_mode_solution)
 
@@ -103,3 +104,23 @@ def test_problem_accepts_boundary_zero_initial_conditions():
     WaveProblem(L1=3.0, L2=0.7, ic="single_mode")
     WaveProblem(L1=2.0, ic="mollifier")
     WaveProblem(ic="mollifier", ic_params={"x0": 0.5, "y0": 0.5, "R": 0.5})
+
+
+def test_ic_params_numbers_are_kept_as_floats():
+    p = WaveProblem(ic="mollifier", ic_params={"R": np.float32(0.2)})
+    assert type(p.ic_params["R"]) is float
+    assert p.ic_params["R"] == float(np.float32(0.2))
+    # the cache name is a JSON digest of the parameters
+    assert reference.cache_filename(p, 8, 8, 16).endswith(".wben")
+    with pytest.raises(ValueError, match="must be numbers"):
+        WaveProblem(ic="mollifier", ic_params={"R": "0.2"})
+
+
+def test_ic_params_are_a_read_only_copy():
+    params = {"R": 0.2}
+    p = WaveProblem(ic="mollifier", ic_params=params)
+    params["R"] = -1.0                 # the caller's dict is not the problem's
+    assert p.ic_params["R"] == 0.2
+    with pytest.raises(TypeError):
+        p.ic_params["R"] = -1.0        # nor can the problem's own change
+    assert p.initial_condition()(0.3, 0.7) == pytest.approx(np.exp(-1.0))

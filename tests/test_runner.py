@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavebench import cli, reference, spectral
+from wavebench import cli, metrics, reference, spectral
 from wavebench.mesh import build_structured_mesh
 from wavebench.runner import (ExperimentConfig, run_benchmark, emit_snapshots,
                               get_reference, CSV_HEADER)
@@ -373,3 +373,26 @@ def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys)
     err = capsys.readouterr().err
     assert message in err
     assert err.startswith("usage: ") and err.count("error:") == 1
+
+
+def test_report_records_the_fit_route(tmp_path):
+    config = _small_config(tmp_path, N=4, m=120, ref_nx=16, ref_ny=16,
+                           Nt_eval=10)
+    run_benchmark(config)
+    doc = json.loads((tmp_path / "report_polynomial.json").read_text())
+    assert doc["fit"]["factor"] == "tridiagonal"
+    assert doc["fit"]["ev_ratio"] > 1.0
+    assert doc["fit"]["lambda_at_grid_edge"] is False
+
+
+def test_cli_snapshots_skip_the_error_reports(tmp_path, monkeypatch):
+    config = _small_config(tmp_path, N=4, m=120, ref_nx=16, ref_ny=16,
+                           Nt_eval=10, snapshot_times=[0.0, 0.5])
+    path = tmp_path / "config.json"
+    path.write_text(config.to_json())
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("snapshots computed an error report")
+    monkeypatch.setattr(metrics, "compute_error_report", no_report)
+    assert cli.main(["snapshots", "--config", str(path)]) == 0
+    assert len(list((tmp_path / "snapshots").glob("*.csv"))) == 6

@@ -452,3 +452,86 @@ def test_fit_deterministic():
     b = fit_spectral_model(prob, N=4, m=150, seed=2)
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.lam == b.lam
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal route and fit diagnostics
+
+def test_tridiagonal_route_matches_dense_svd_and_normal_equations():
+    pts = lhs_sample(600, 1.0, 1.0, seed=5)
+    Phi = build_design_matrix(pts, SpectralBasis(12))
+    A = Phi.values
+    u = np.random.default_rng(31).standard_normal(600)
+    s_ref = np.linalg.svd(A, compute_uv=False)
+    fit = ridge_fit_svd(Phi, u)
+    assert fit.factor == "tridiagonal"
+    np.testing.assert_allclose(fit.s, s_ref, rtol=1e-12)
+    G, b = A.T @ A, A.T @ u
+    for lam in default_lambda_grid():
+        w_ref = np.linalg.solve(G + lam * np.eye(144), b)
+        w = fit.coefficients(lam)
+        assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+        resid = u - A @ w_ref
+        edof_ref = np.sum(s_ref**2 / (s_ref**2 + lam))
+        assert fit.rss(lam) == pytest.approx(resid @ resid, rel=1e-10)
+        assert fit.edof(lam) == pytest.approx(edof_ref, rel=1e-10)
+        assert fit.gcv(lam) == pytest.approx(
+            (resid @ resid) / (600 - edof_ref) ** 2, rel=1e-10)
+
+
+def test_desk_fit_forms_no_eigenvectors(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Gram route called a dense eigen/SVD solver")
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    model = fit_spectral_model(WaveProblem(ic="polynomial"), 40, 5000, seed=0)
+    d = model.diagnostics
+    assert d["factor"] == "tridiagonal"
+    assert 1.0 < d["ev_ratio"] < 1e6
+    assert d["lambda_at_grid_edge"] is False
+    assert float(predict(model, 0.5, 0.5, 0.0)) == pytest.approx(1 / 16, rel=1e-4)
+
+
+def test_wide_design_reports_svd():
+    model = fit_spectral_model(WaveProblem(ic="polynomial"), 6, 20, seed=0)
+    assert model.diagnostics["factor"] == "svd"
+    assert model.diagnostics["ev_ratio"] is None        # Phi^T Phi is singular
+
+
+@pytest.mark.parametrize("ratio,factor", [(0.99e6, "tridiagonal"),
+                                          (1.01e6, "svd")])
+def test_svd_fallback_past_the_eigenvalue_ratio(ratio, factor):
+    rng = np.random.default_rng(41)
+    U, _ = np.linalg.qr(rng.standard_normal((40, 6)))
+    V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    s = np.geomspace(1.0, ratio ** -0.5, 6)
+    A = U * s @ V.T
+    u = rng.standard_normal(40)
+    fit = ridge_fit_svd(A, u)
+    assert fit.factor == factor
+    lam = 1e-9
+    w_ref = V @ (s / (s**2 + lam) * (U.T @ u))
+    assert np.linalg.norm(fit.coefficients(lam) - w_ref) <= 1e-6 * np.linalg.norm(w_ref)
+
+
+def test_single_mode_per_direction_fit():
+    pts = lhs_sample(30, 1.0, 1.0, seed=2)
+    Phi = build_design_matrix(pts, SpectralBasis(1))
+    u = WaveProblem(ic="polynomial").initial_condition()(pts[:, 0], pts[:, 1])
+    fit = ridge_fit_svd(Phi, u)
+    assert fit.factor == "tridiagonal"
+    A = Phi.values
+    np.testing.assert_allclose(fit.s, [np.linalg.norm(A)], rtol=1e-14)
+    w_ref = (A[:, 0] @ u) / (A[:, 0] @ A[:, 0] + 1e-3)
+    np.testing.assert_allclose(fit.coefficients(1e-3), [w_ref], rtol=1e-14)
+    model = fit_spectral_model(WaveProblem(ic="polynomial"), 1, 30, seed=2)
+    assert model.weights.shape == (1,)
+    assert model.diagnostics["ev_ratio"] == 1.0
+
+
+def test_zero_samples_report_grid_edge_lambda():
+    zero = WaveProblem(ic="custom", ic_params={"fn": lambda x, y: 0.0 * x})
+    model = fit_spectral_model(zero, 4, 100, seed=0)
+    assert model.diagnostics["lambda_at_grid_edge"] is True
+    assert model.lam == default_lambda_grid()[-1]
+    assert np.all(model.weights == 0.0)
