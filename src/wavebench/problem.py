@@ -111,8 +111,10 @@ class WaveProblem:
         # a read-only copy, so no change after these checks can skip them
         object.__setattr__(self, "ic_params", MappingProxyType(params))
         if self.ic == "custom":
-            if "fn" not in params:
-                raise ValueError("custom initial condition requires ic_params['fn']")
+            fn = params.get("fn")
+            if not callable(fn):
+                raise ValueError("custom initial condition requires a callable "
+                                 f"ic_params['fn'], got {fn!r}")
         elif self.ic == "polynomial" and params:
             raise ValueError(f"the polynomial initial condition takes no "
                              f"ic_params, got {params}")

@@ -91,9 +91,11 @@ def test_problem_validation():
     (dict(ic="polynomial", ic_params={"R": 0.1}), "takes no ic_params"),
     (dict(ic="single_mode", ic_params={"R": 0.1}), "unexpected keyword"),
     (dict(ic="single_mode", ic_params={"L1": 2.0}), "multiple values"),
+    (dict(ic="custom", ic_params={"fn": 1}), "requires a callable"),
 ], ids=["polynomial_L1", "polynomial_L2", "mollifier_L1", "mollifier_x0",
         "mollifier_R", "mollifier_unknown_param", "polynomial_params",
-        "single_mode_unknown_param", "single_mode_L1_param"])
+        "single_mode_unknown_param", "single_mode_L1_param",
+        "custom_fn_not_callable"])
 def test_problem_rejects_unusable_initial_condition(kwargs, message):
     with pytest.raises(ValueError, match=message):
         WaveProblem(**kwargs)

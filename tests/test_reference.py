@@ -1,6 +1,7 @@
 """Reference generation and the binary cache format."""
 
 import hashlib
+import logging
 import struct
 
 import numpy as np
@@ -51,7 +52,7 @@ def test_header_layout(tmp_path):
     raw = path.read_bytes()
     magic, ver, nx, ny, Nt = struct.unpack_from("<4sIIII", raw)
     assert magic == MAGIC == b"WBEN"
-    assert ver == VERSION == 2
+    assert ver == VERSION == 3
     assert (nx, ny, Nt) == (6, 6, 12)
     L1, L2, c, T, dt = struct.unpack_from("<5d", raw, 20)
     assert (L1, L2, c, T) == (1.0, 1.0, 1.0, 1.0)
@@ -61,10 +62,12 @@ def test_header_layout(tmp_path):
     # values are little-endian f64, time-major
     vals = np.frombuffer(raw, dtype="<f8", count=n_vals, offset=60)
     np.testing.assert_array_equal(vals.reshape(13, 7, 7), ref.values)
-    # trailing checksum covers everything before it
-    (stored,) = struct.unpack_from("<Q", raw, len(raw) - 8)
-    digest = hashlib.blake2b(raw[:-8], digest_size=8).digest()
-    assert stored == struct.unpack("<Q", digest)[0]
+    # the trailer is sha256(header || sha256(level_0) || ... )[:8]
+    level = 8 * 7 * 7
+    leaves = b"".join(hashlib.sha256(raw[s:s + level]).digest()
+                      for s in range(60, len(raw) - 8, level))
+    assert len(leaves) == 13 * 32
+    assert raw[-8:] == hashlib.sha256(raw[:60] + leaves).digest()[:8]
 
 
 def test_roundtrip(tmp_path):
@@ -83,6 +86,42 @@ def test_corruption_detected(tmp_path):
     write_reference(ref, path)
     raw = bytearray(path.read_bytes())
     raw[200] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CacheError, match="checksum"):
+        load_reference(path, prob)
+
+
+def _written(tmp_path):
+    """A 6x6 reference written to disk, and its raw bytes."""
+    prob, ref = _small_ref()
+    path = tmp_path / "ref.wben"
+    write_reference(ref, path)
+    return prob, path, bytearray(path.read_bytes())
+
+
+def test_swapped_levels_detected(tmp_path):
+    prob, path, raw = _written(tmp_path)
+    level = 8 * 7 * 7
+    a = slice(60 + level, 60 + 2 * level)
+    b = slice(60 + 2 * level, 60 + 3 * level)
+    assert raw[a] != raw[b]
+    raw[a], raw[b] = raw[b], raw[a]
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CacheError, match="checksum"):
+        load_reference(path, prob)
+
+
+def test_stored_dt_change_detected(tmp_path):
+    prob, path, raw = _written(tmp_path)
+    raw[52] ^= 0x01             # lowest byte of dt, the header's last double
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CacheError, match="checksum"):
+        load_reference(path, prob)
+
+
+def test_last_level_change_detected(tmp_path):
+    prob, path, raw = _written(tmp_path)
+    raw[-8 - 8 * 25] ^= 0xFF        # the centre node of level Nt
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheError, match="checksum"):
         load_reference(path, prob)
@@ -143,6 +182,44 @@ def test_old_version_rejected_and_regenerated(tmp_path):
     assert struct.unpack_from("<I", good, 4) == (VERSION,)
 
 
+def test_version_2_file_rejected_and_regenerated(tmp_path):
+    prob = WaveProblem(ic="polynomial")
+    ref = generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.wben"))
+    good = path.read_bytes()
+    # the same values in a valid version 2 file: a BLAKE2b trailer over
+    # every preceding byte
+    body = bytearray(good[:-8])
+    struct.pack_into("<I", body, 4, 2)
+    path.write_bytes(bytes(body) + hashlib.blake2b(body, digest_size=8).digest())
+    with pytest.raises(CacheError, match="unsupported format version 2"):
+        load_reference(path, prob)
+    again = generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    np.testing.assert_array_equal(np.asarray(again.values),
+                                  np.asarray(ref.values))
+    assert path.read_bytes() == good
+
+
+def test_regeneration_is_logged(tmp_path, caplog):
+    prob = WaveProblem(ic="polynomial")
+    generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.wben"))
+    raw = bytearray(path.read_bytes())
+    raw[200] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    with caplog.at_level(logging.WARNING, logger="wavebench"):
+        generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    [record] = caplog.records
+    assert record.name == "wavebench" and record.levelno == logging.WARNING
+    assert path.name in record.getMessage()
+    assert "checksum mismatch" in record.getMessage()
+    # a cache hit logs nothing
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="wavebench"):
+        generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    assert caplog.records == []
+
+
 def test_write_leaves_other_temp_files_alone(tmp_path):
     prob, ref = _small_ref()
     path = tmp_path / "ref.wben"
@@ -188,7 +265,7 @@ def test_cache_hit_and_regeneration(tmp_path):
     b = generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
     np.testing.assert_array_equal(np.asarray(a.values), np.asarray(b.values))
     assert files[0].read_bytes() == first_bytes
-    # a corrupted file is silently regenerated
+    # a corrupted file is regenerated (and a warning logged)
     raw = bytearray(first_bytes)
     raw[-1] ^= 0xFF
     files[0].write_bytes(bytes(raw))

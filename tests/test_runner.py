@@ -361,10 +361,13 @@ def test_cli_requires_subcommand(capsys):
     (["match", "1600", "--T", "inf"], "", "final time must be positive and finite"),
     (["fit", "--config", "{tmp}/config.json"], '{"dt_ref": NaN}',
      "reference time step must be positive and finite"),
+    (["fit", "--config", "{tmp}/config.json"],
+     '{"ic": "custom", "ic_params": {"fn": 1}}',
+     "custom initial condition requires a callable ic_params['fn'], got 1"),
 ], ids=["match_0", "negative_seed", "float_N_config", "no_solve",
         "config_not_object", "snapshot_times_not_list", "string_paper_update",
         "int_ic_params", "string_T", "bool_N", "string_dt_ref", "match_T_nan",
-        "match_T_inf", "nan_dt_ref"])
+        "match_T_inf", "nan_dt_ref", "custom_fn_not_callable"])
 def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys):
     (tmp_path / "config.json").write_text(config)
     with pytest.raises(SystemExit) as exc:
