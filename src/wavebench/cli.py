@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import runner
 from .dof_matching import match_cn_to_dof
+from .problem import IC_NAMES
 from .runner import ExperimentConfig
 
 
@@ -32,7 +33,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _add_common(p):
     p.add_argument("--config", help="path to a JSON config file")
-    p.add_argument("--ic", choices=["polynomial", "mollifier", "single-mode"],
+    p.add_argument("--ic", choices=[n.replace("_", "-") for n in IC_NAMES],
                    help="initial condition")
     p.add_argument("--seed", type=int, help="sampling seed")
     p.add_argument("--paper-scale", action="store_true",

@@ -22,7 +22,7 @@ __all__ = [
     "single_mode_solution",
 ]
 
-IC_NAMES = ("polynomial", "mollifier", "single_mode", "custom")
+IC_NAMES = ("polynomial", "mollifier", "single_mode")
 
 
 def is_real_number(value) -> bool:
@@ -81,7 +81,8 @@ class WaveProblem:
     """Shared problem definition: domain, wave speed, horizon, initial data.
 
     The initial velocity is identically zero by construction; only the
-    initial displacement is selectable.
+    initial displacement is selectable, by a name from `IC_NAMES`. Only the
+    mollifier takes `ic_params` (`x0`, `y0`, `R`).
     """
 
     L1: float = 1.0
@@ -104,25 +105,18 @@ class WaveProblem:
             raise ValueError(f"unknown initial condition {self.ic!r}; "
                              f"expected one of {IC_NAMES}")
         params = dict(self.ic_params)
-        if self.ic != "custom":
-            if not all(map(is_real_number, params.values())):
-                raise ValueError(f"ic_params values must be numbers, got {params}")
-            params = {k: float(v) for k, v in params.items()}
+        if not all(map(is_real_number, params.values())):
+            raise ValueError(f"ic_params values must be numbers, got {params}")
+        params = {k: float(v) for k, v in params.items()}
         # a read-only copy, so no change after these checks can skip them
         object.__setattr__(self, "ic_params", MappingProxyType(params))
-        if self.ic == "custom":
-            fn = params.get("fn")
-            if not callable(fn):
-                raise ValueError("custom initial condition requires a callable "
-                                 f"ic_params['fn'], got {fn!r}")
-        elif self.ic == "polynomial" and params:
-            raise ValueError(f"the polynomial initial condition takes no "
+        if self.ic != "mollifier" and params:
+            raise ValueError(f"the {self.ic} initial condition takes no "
                              f"ic_params, got {params}")
-        else:
-            self._check_boundary_zero()
+        self._check_boundary_zero()
 
     def _check_boundary_zero(self):
-        """Reject a built-in initial condition that is not zero on the edges.
+        """Reject an initial condition that is not zero on the edges.
 
         Both solvers impose u = 0 on the boundary, so a nonzero u0 there
         would score them against different problems. The condition is
@@ -149,7 +143,4 @@ class WaveProblem:
             return ic_polynomial
         if self.ic == "mollifier":
             return lambda x, y: ic_mollifier(x, y, **self.ic_params)
-        if self.ic == "single_mode":
-            return lambda x, y: ic_single_mode(x, y, self.L1, self.L2,
-                                               **self.ic_params)
-        return self.ic_params["fn"]
+        return lambda x, y: ic_single_mode(x, y, self.L1, self.L2)

@@ -8,11 +8,8 @@ In format version 3 the trailer is a two-level SHA-256 tree,
 sha256(header || sha256(level_0) || ... || sha256(level_Nt))[:8], which
 covers every byte in order. The writer hashes each time level as it
 writes it; the loader hashes the levels of the memory map in a thread pool
-(hashlib releases the GIL). A verified load of the 130 MB desk file
-(200x200, 401 levels) takes 0.09 s instead of the 0.31 s of version 2's
-sequential BLAKE2b (medians of 15 loads, 2-vCPU VM with SHA-NI). Version 2
-files are rejected. Generation streams slice by slice, so the peak memory
-stays at one spatial slice.
+(hashlib releases the GIL). Version 2 files are rejected. Generation
+streams slice by slice, so the peak memory stays at one spatial slice.
 """
 
 from __future__ import annotations
@@ -173,15 +170,8 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
     With `cache_dir` set, an existing valid cache file is loaded instead of
     recomputing; corrupt files are regenerated, with a warning on the
     `wavebench` logger. The solve streams each time level straight to disk.
-    A custom initial condition has no fingerprint for the cache name, so it
-    requires `cache_dir=None`.
     """
     Nt_ref = step_count(problem.T, dt_ref)
-
-    if cache_dir is not None and problem.ic == "custom":
-        raise ValueError("custom initial conditions cannot be cached; "
-                         "pass cache_dir=None")
-
     path = None
     if cache_dir is not None:
         cache_dir = Path(cache_dir)

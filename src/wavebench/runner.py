@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ValueError("Nt_eval must be even and >= 2")
         if self.N < 1 or self.m < 1:
             raise ValueError("N and m must be positive")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -151,6 +153,7 @@ class BenchmarkResult:
             "fit": {k: self.model.diagnostics[k] for k in
                     ("factor", "ev_ratio", "lambda_at_grid_edge")},
             "match": asdict(self.match),
+            "cn_stats": dict(self.trajectory.stats),
             "bepgp": self.ep_report.to_dict(),
             "cn_fem": self.cn_report.to_dict(),
             "improvement_st": self.improvement_st,
@@ -197,11 +200,6 @@ def fit_and_solve(config: ExperimentConfig):
 def run_benchmark(config: ExperimentConfig, ref=None,
                   write_outputs: bool = True) -> BenchmarkResult:
     """Full DoF-matched benchmark for one initial condition."""
-    # a callable has no JSON form for the report and no cache name
-    if config.ic == "custom" and (write_outputs or ref is None):
-        raise ValueError("custom initial conditions cannot be written to a "
-                         "report or cached; pass write_outputs=False and ref="
-                         "generate_reference(..., cache_dir=None)")
     if ref is None:
         ref = get_reference(config)
 

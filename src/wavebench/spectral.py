@@ -23,6 +23,7 @@ Weight / column order: (j, k) lexicographic with j outer, i.e. column
 from __future__ import annotations
 
 import json
+import logging
 import mmap
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -44,6 +45,7 @@ __all__ = [
     "predict",
 ]
 
+log = logging.getLogger("wavebench")
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 # Largest eigenvalue ratio of Phi^T Phi accepted from the Gram route, i.e.
@@ -276,6 +278,9 @@ def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray) -> RidgeSVD:
     if reduced is not None:
         (s, d, e, c, q), factor = reduced, "tridiagonal"
     else:
+        log.warning("ridge fit of a %dx%d design takes the SVD route: %s", m, n,
+                    "wide design" if m < n else
+                    f"eigenvalue ratio above {_GRAM_MAX_EV_RATIO:g}")
         _, s, Vt = np.linalg.svd(dense(), full_matrices=False)
         keep = s > max(m, n) * np.finfo(float).eps * s[0]
         c, d = np.where(keep, Vt @ b, 0.0), np.where(keep, s**2, 1.0)

@@ -12,11 +12,12 @@ conserving scheme is exercised separately by criteria 6 and 7.
 import csv
 import io
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavebench import fem, metrics, spectral
+from wavebench import fem, metrics, reference, spectral
 from wavebench.dof_matching import match_cn_to_dof
 from wavebench.mesh import build_structured_mesh
 from wavebench.metrics import mesh_quadrature, simpson_weights
@@ -35,6 +36,25 @@ def _verdict(num: int, ok: bool, detail: str) -> bool:
 def _paper_config(ic: str) -> ExperimentConfig:
     return ExperimentConfig(ic=ic, paper_update=True,
                             output_dir=PAPER_DIR).paper_scale()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def prune_stale_references():
+    """Delete the 400 x 400 references that older code left in the cache.
+
+    The cache name carries a digest of the solver source, so each change to
+    that source leaves two stale files of about 1 GB behind. Only the two
+    names the current code gives are kept.
+    """
+    keep = set()
+    for ic in ("polynomial", "mollifier"):
+        config = _paper_config(ic)
+        keep.add(reference.cache_filename(
+            config.problem(), config.ref_nx, config.ref_ny,
+            reference.step_count(config.T, config.dt_ref)))
+    for path in (Path(PAPER_DIR) / "cache").glob("ref_*_400x400_nt800_*.wben"):
+        if path.name not in keep:
+            path.unlink(missing_ok=True)
 
 
 @pytest.fixture(scope="session")

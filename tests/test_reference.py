@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -324,19 +325,11 @@ def test_reference_from_other_solver_is_not_loaded(tmp_path, monkeypatch):
     assert old_path.stat().st_mtime_ns == old_mtime
 
 
-def test_custom_ic_rejected_with_cache_dir(tmp_path, monkeypatch):
-    prob = WaveProblem(ic="custom", ic_params={"fn": lambda x, y: x * y})
-    # the check must come before any mesh is built
-    monkeypatch.setattr(reference, "build_structured_mesh", None)
-    with pytest.raises(ValueError, match="custom initial conditions cannot "
-                                         "be cached; pass cache_dir=None"):
-        generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_custom_ic_without_cache():
+    # the in-memory route reads only L1, L2, c, T and initial_condition()
     fn = lambda x, y: x * (1 - x) * y * (1 - y)     # noqa: E731
-    custom = WaveProblem(ic="custom", ic_params={"fn": fn})
+    custom = SimpleNamespace(L1=1.0, L2=1.0, c=1.0, T=1.0,
+                             initial_condition=lambda: fn)
     ref = generate_reference(custom, 6, 6, 1.0 / 12, cache_dir=None)
     _, poly = _small_ref()
     np.testing.assert_array_equal(ref.values, poly.values)

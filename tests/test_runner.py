@@ -201,29 +201,6 @@ def test_report_matches_recorded_values(tmp_path, ic):
         assert got == pytest.approx(want[name], rel=1e-8), name
 
 
-def test_custom_ic_report_needs_write_outputs_off(tmp_path, monkeypatch):
-    fn = lambda x, y: x * (1 - x) * y * (1 - y)     # noqa: E731
-    config = _small_config(tmp_path / "out", ic="custom", ic_params={"fn": fn},
-                           N=4, m=120, ref_nx=16, ref_ny=16, Nt_eval=10)
-    ref = reference.generate_reference(config.problem(), 16, 16,
-                                       config.dt_ref, cache_dir=None)
-    fit = spectral.fit_spectral_model
-    # the check must come before the fit
-    monkeypatch.setattr(spectral, "fit_spectral_model", None)
-    with pytest.raises(ValueError, match="pass write_outputs=False"):
-        run_benchmark(config, ref=ref)
-    assert not (tmp_path / "out").exists()
-    # without a reference it names the in-memory one to pass
-    with pytest.raises(ValueError, match=r"ref=generate_reference\(\.\.\., "
-                                         r"cache_dir=None\)"):
-        run_benchmark(config, write_outputs=False)
-    assert not (tmp_path / "out").exists()
-    monkeypatch.setattr(spectral, "fit_spectral_model", fit)
-    result = run_benchmark(config, ref=ref, write_outputs=False)
-    assert result.cn_report.st_rel > 0
-    assert not (tmp_path / "out").exists()
-
-
 def test_reference_cache_is_reused(tmp_path):
     config = _small_config(tmp_path, N=4, m=120, ref_nx=32, ref_ny=32,
                            Nt_eval=10)
@@ -361,13 +338,17 @@ def test_cli_requires_subcommand(capsys):
     (["match", "1600", "--T", "inf"], "", "final time must be positive and finite"),
     (["fit", "--config", "{tmp}/config.json"], '{"dt_ref": NaN}',
      "reference time step must be positive and finite"),
-    (["fit", "--config", "{tmp}/config.json"],
-     '{"ic": "custom", "ic_params": {"fn": 1}}',
-     "custom initial condition requires a callable ic_params['fn'], got 1"),
+    (["fit", "--config", "{tmp}/config.json"], '{"ic": "custom"}',
+     "unknown initial condition 'custom'"),
+    (["fit", "--config", "{tmp}/config.json"], '{"output_dir": 5}',
+     "output_dir must be a string, got 5"),
+    (["fit", "--config", "{tmp}/config.json"], '{"output_dir": null}',
+     "output_dir must be a string, got None"),
 ], ids=["match_0", "negative_seed", "float_N_config", "no_solve",
         "config_not_object", "snapshot_times_not_list", "string_paper_update",
         "int_ic_params", "string_T", "bool_N", "string_dt_ref", "match_T_nan",
-        "match_T_inf", "nan_dt_ref", "custom_fn_not_callable"])
+        "match_T_inf", "nan_dt_ref", "custom_ic", "int_output_dir",
+        "null_output_dir"])
 def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys):
     (tmp_path / "config.json").write_text(config)
     with pytest.raises(SystemExit) as exc:
@@ -376,6 +357,16 @@ def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys)
     err = capsys.readouterr().err
     assert message in err
     assert err.startswith("usage: ") and err.count("error:") == 1
+
+
+def test_report_records_the_matched_solve_counters(small_result):
+    config, result = small_result
+    doc = json.loads((Path(config.output_dir) / "report_polynomial.json")
+                     .read_text())
+    assert set(doc["cn_stats"]) == {"factorizations", "solves", "spmv",
+                                    "cg_iters"}
+    assert doc["cn_stats"]["factorizations"] == 1
+    assert doc["cn_stats"]["solves"] == result.match.Nt
 
 
 def test_report_records_the_fit_route(tmp_path):

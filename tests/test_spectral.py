@@ -1,5 +1,8 @@
 """Sampling, design matrix, ridge/GCV machinery, surrogate prediction."""
 
+import logging
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -492,23 +495,30 @@ def test_desk_fit_forms_no_eigenvectors(monkeypatch):
     assert float(predict(model, 0.5, 0.5, 0.0)) == pytest.approx(1 / 16, rel=1e-4)
 
 
-def test_wide_design_reports_svd():
-    model = fit_spectral_model(WaveProblem(ic="polynomial"), 6, 20, seed=0)
+def test_wide_design_reports_svd(caplog):
+    with caplog.at_level(logging.WARNING, logger="wavebench"):
+        model = fit_spectral_model(WaveProblem(ic="polynomial"), 6, 20, seed=0)
     assert model.diagnostics["factor"] == "svd"
     assert model.diagnostics["ev_ratio"] is None        # Phi^T Phi is singular
+    assert caplog.messages == ["ridge fit of a 20x36 design takes the SVD "
+                               "route: wide design"]
 
 
 @pytest.mark.parametrize("ratio,factor", [(0.99e6, "tridiagonal"),
                                           (1.01e6, "svd")])
-def test_svd_fallback_past_the_eigenvalue_ratio(ratio, factor):
+def test_svd_fallback_past_the_eigenvalue_ratio(ratio, factor, caplog):
     rng = np.random.default_rng(41)
     U, _ = np.linalg.qr(rng.standard_normal((40, 6)))
     V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     s = np.geomspace(1.0, ratio ** -0.5, 6)
     A = U * s @ V.T
     u = rng.standard_normal(40)
-    fit = ridge_fit_svd(A, u)
+    with caplog.at_level(logging.WARNING, logger="wavebench"):
+        fit = ridge_fit_svd(A, u)
     assert fit.factor == factor
+    assert caplog.messages == ([] if factor == "tridiagonal" else [
+        "ridge fit of a 40x6 design takes the SVD route: eigenvalue ratio "
+        "above 1e+06"])
     lam = 1e-9
     w_ref = V @ (s / (s**2 + lam) * (U.T @ u))
     assert np.linalg.norm(fit.coefficients(lam) - w_ref) <= 1e-6 * np.linalg.norm(w_ref)
@@ -530,7 +540,8 @@ def test_single_mode_per_direction_fit():
 
 
 def test_zero_samples_report_grid_edge_lambda():
-    zero = WaveProblem(ic="custom", ic_params={"fn": lambda x, y: 0.0 * x})
+    zero = SimpleNamespace(L1=1.0, L2=1.0, c=1.0, T=1.0,
+                           initial_condition=lambda: lambda x, y: 0.0 * x)
     model = fit_spectral_model(zero, 4, 100, seed=0)
     assert model.diagnostics["lambda_at_grid_edge"] is True
     assert model.lam == default_lambda_grid()[-1]
