@@ -7,9 +7,12 @@ the value array time-major then y-major then x, and an 8-byte trailer.
 In format version 3 the trailer is a two-level SHA-256 tree,
 sha256(header || sha256(level_0) || ... || sha256(level_Nt))[:8], which
 covers every byte in order. The writer hashes each time level as it
-writes it; the loader hashes the levels of the memory map in a thread pool
-(hashlib releases the GIL). Version 2 files are rejected. Generation
-streams slice by slice, so the peak memory stays at one spatial slice.
+writes it. The loader reads the levels with positioned reads and hashes
+them in a thread pool (os.pread and hashlib release the GIL), so a load
+keeps about one level per CPU resident; it maps the values only after the
+checksum has passed, through the file it verified. Version 2 files are
+rejected. Generation streams slice by slice, so the peak memory stays at
+one spatial slice.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import logging
 import os
 import struct
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,6 +68,8 @@ class ReferenceSolution:
     dt_ref: float
     Nt_ref: int
     values: np.ndarray          # possibly a read-only memmap
+    cache: str = "memory"       # "hit", "built", "regenerated" or "memory"
+    load_s: float | None = None     # seconds to load and verify the file
 
     def at_time(self, t: float) -> np.ndarray:
         """Nodal slice at time t by linear interpolation between levels."""
@@ -99,36 +105,46 @@ def _stream_write(path: Path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices):
 
 
 def load_reference(path, problem: WaveProblem) -> ReferenceSolution:
-    """Memory-map a WBEN file, verifying magic, version and checksum."""
+    """Verify a WBEN file by reading it, then memory-map its values.
+
+    Magic, version, size and metadata are checked before any hashing.
+    Only a file whose checksum matches is mapped, through the same open
+    file, so a file renamed onto `path` meanwhile is never returned.
+    """
+    t0 = time.perf_counter()
     path = Path(path)
-    if path.stat().st_size < _HEADER.size + 8:   # np.memmap rejects 0 bytes
-        raise CacheError(f"{path}: truncated cache file")
-    raw = np.memmap(path, dtype=np.uint8, mode="r")
-    header = bytes(raw[:_HEADER.size])
-    magic, ver, nx, ny, Nt, L1, L2, c, T, dt = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise CacheError(f"{path}: bad magic {magic!r}")
-    if ver != VERSION:
-        raise CacheError(f"{path}: unsupported format version {ver}")
-    n_vals = (Nt + 1) * (ny + 1) * (nx + 1)
-    expect = _HEADER.size + 8 * n_vals + 8
-    if raw.size != expect:
-        raise CacheError(f"{path}: size {raw.size}, expected {expect}")
-    level = 8 * (ny + 1) * (nx + 1)
-    with ThreadPoolExecutor() as pool:
-        leaves = pool.map(lambda s: hashlib.sha256(raw[s:s + level]).digest(),
-                          range(_HEADER.size, raw.size - 8, level))
-        trailer = _trailer(header, leaves)
-    if trailer != bytes(raw[-8:]):
-        raise CacheError(f"{path}: checksum mismatch")
-    for name, a, b in (("L1", L1, problem.L1), ("L2", L2, problem.L2),
-                       ("c", c, problem.c), ("T", T, problem.T)):
-        if a != b:
-            raise CacheError(f"{path}: stored {name}={a} differs from "
-                             f"requested {b}")
-    values = np.memmap(path, dtype="<f8", mode="r", offset=_HEADER.size,
-                       shape=(Nt + 1, ny + 1, nx + 1))
-    return ReferenceSolution(problem, nx, ny, dt, Nt, values)
+    with open(path, "rb") as f:
+        fd = f.fileno()
+        size = os.fstat(fd).st_size
+        if size < _HEADER.size + 8:
+            raise CacheError(f"{path}: truncated cache file")
+        header = os.pread(fd, _HEADER.size, 0)
+        magic, ver, nx, ny, Nt, L1, L2, c, T, dt = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise CacheError(f"{path}: bad magic {magic!r}")
+        if ver != VERSION:
+            raise CacheError(f"{path}: unsupported format version {ver}")
+        n_vals = (Nt + 1) * (ny + 1) * (nx + 1)
+        expect = _HEADER.size + 8 * n_vals + 8
+        if size != expect:
+            raise CacheError(f"{path}: size {size}, expected {expect}")
+        for name, a, b in (("L1", L1, problem.L1), ("L2", L2, problem.L2),
+                           ("c", c, problem.c), ("T", T, problem.T)):
+            if a != b:
+                raise CacheError(f"{path}: stored {name}={a} differs from "
+                                 f"requested {b}")
+        level = 8 * (ny + 1) * (nx + 1)
+        with ThreadPoolExecutor(os.cpu_count()) as pool:
+            leaves = pool.map(
+                lambda off: hashlib.sha256(os.pread(fd, level, off)).digest(),
+                range(_HEADER.size, size - 8, level))
+            trailer = _trailer(header, leaves)
+        if trailer != os.pread(fd, 8, size - 8):
+            raise CacheError(f"{path}: checksum mismatch")
+        values = np.memmap(f, dtype="<f8", mode="r", offset=_HEADER.size,
+                           shape=(Nt + 1, ny + 1, nx + 1))
+    return ReferenceSolution(problem, nx, ny, dt, Nt, values, "hit",
+                             time.perf_counter() - t0)
 
 
 @functools.cache
@@ -168,8 +184,9 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
     """Run the fine-grid solver, caching the result on disk.
 
     With `cache_dir` set, an existing valid cache file is loaded instead of
-    recomputing; corrupt files are regenerated, with a warning on the
-    `wavebench` logger. The solve streams each time level straight to disk.
+    recomputing; a missing file is built, and a corrupt one regenerated
+    with a warning on the `wavebench` logger. The result's `cache` says
+    which of these happened. The solve streams each time level to disk.
     """
     Nt_ref = step_count(problem.T, dt_ref)
     path = None
@@ -177,12 +194,16 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
         path = cache_dir / cache_filename(problem, ref_nx, ref_ny, Nt_ref)
+        event = "built"
         if path.exists():
             try:
                 return load_reference(path, problem)
+            except FileNotFoundError:
+                pass        # another process removed it since exists()
             except CacheError as exc:
                 log.warning("%s; regenerating the reference", exc)
-                path.unlink()
+                path.unlink(missing_ok=True)
+                event = "regenerated"
 
     mesh = build_structured_mesh(problem.L1, problem.L2, ref_nx, ref_ny)
     sys = FemSystem.build(mesh, problem.c)
@@ -201,4 +222,6 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
         return ReferenceSolution(problem, ref_nx, ref_ny, dt_ref, Nt_ref, values)
 
     _stream_write(path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices())
-    return load_reference(path, problem)
+    ref = load_reference(path, problem)
+    ref.cache = event
+    return ref

@@ -130,6 +130,7 @@ class BenchmarkResult:
     improvement_linf: float
     fit_seconds: float
     solve_seconds: float
+    reference: dict             # grid, Nt, cache event and load seconds
 
     def csv_text(self) -> str:
         """One CSV row per solver, in the layout of the accuracy tables."""
@@ -160,6 +161,7 @@ class BenchmarkResult:
             "improvement_linf": self.improvement_linf,
             "fit_seconds": self.fit_seconds,
             "solve_seconds": self.solve_seconds,
+            "reference": self.reference,
         }
 
 
@@ -215,7 +217,9 @@ def run_benchmark(config: ExperimentConfig, ref=None,
         ep_report=ep_report, cn_report=cn_report,
         improvement_st=cn_report.st_l2 / ep_report.st_l2,
         improvement_linf=cn_report.linf_l2 / ep_report.linf_l2,
-        fit_seconds=fit_s, solve_seconds=solve_s)
+        fit_seconds=fit_s, solve_seconds=solve_s,
+        reference={"nx": ref.grid_nx, "ny": ref.grid_ny, "Nt": ref.Nt_ref,
+                   "cache": ref.cache, "load_s": ref.load_s})
 
     if write_outputs:
         out = Path(config.output_dir)

@@ -2,7 +2,11 @@
 
 import hashlib
 import logging
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -245,6 +249,113 @@ def test_failed_write_removes_its_temp_file(tmp_path):
         _stream_write(tmp_path / "ref.wben", 6, 6, 12, prob, ref.dt_ref,
                       slices())
     assert list(tmp_path.iterdir()) == []
+
+
+# Verifying a 64 MiB file in a fresh process: the values are written from
+# one broadcast level, so the writer stays small, and `load_reference` must
+# not leave the file resident (reading it through a memory map would).
+_RSS_SCRIPT = """
+import resource, sys
+import numpy as np
+from wavebench.problem import WaveProblem
+from wavebench.reference import ReferenceSolution, load_reference, write_reference
+
+n, Nt = 255, 128
+prob = WaveProblem()
+level = np.arange((n + 1) ** 2, dtype=float).reshape(n + 1, n + 1)
+values = np.broadcast_to(level, (Nt + 1, n + 1, n + 1))
+write_reference(ReferenceSolution(prob, n, n, 1.0 / Nt, Nt, values), sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ref = load_reference(sys.argv[1], prob)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert ref.values.shape == values.shape and ref.values[Nt, 3, 4] == level[3, 4]
+print(after - before)
+"""
+
+
+def test_verified_load_keeps_file_out_of_memory(tmp_path):
+    path = tmp_path / "ref.wben"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(reference.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _RSS_SCRIPT, str(path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert path.stat().st_size >= 64 << 20
+    grown_kb = int(out.stdout)          # ru_maxrss is in KiB on Linux
+    assert grown_kb < 16 << 10
+
+
+def test_nothing_mapped_before_checksum(tmp_path, monkeypatch):
+    prob, path, raw = _written(tmp_path)
+    raw[200] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("mapped before the checksum passed")
+    monkeypatch.setattr(reference.np, "memmap", no_map)
+    with pytest.raises(CacheError, match="checksum"):
+        load_reference(path, prob)
+
+
+def test_values_come_from_the_verified_file(tmp_path, monkeypatch):
+    prob, ref = _small_ref()
+    path, other = tmp_path / "ref.wben", tmp_path / "other.wben"
+    write_reference(ref, path)
+    write_reference(ReferenceSolution(prob, 6, 6, ref.dt_ref, 12,
+                                      2.0 * ref.values), other)
+    other_bytes = other.read_bytes()
+    trailer = reference._trailer
+
+    def replaced_after_hashing(header, leaves):
+        digest = trailer(header, leaves)
+        os.replace(other, path)         # a concurrent writer's rename
+        return digest
+    monkeypatch.setattr(reference, "_trailer", replaced_after_hashing)
+    back = load_reference(path, prob)
+    assert path.read_bytes() == other_bytes
+    np.testing.assert_array_equal(np.asarray(back.values), ref.values)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_cache_file_removed_during_load_is_rebuilt(tmp_path, monkeypatch,
+                                                   corrupt):
+    prob, ref = _small_ref()
+    generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.wben"))
+    good = path.read_bytes()
+    if corrupt:
+        raw = bytearray(good)
+        raw[200] ^= 0xFF
+        path.write_bytes(bytes(raw))
+    load = reference.load_reference
+    raced = []
+
+    def racing_load(p, problem):
+        # another process prunes the file: between the existence check and
+        # the load, or between a failed verify and the unlink
+        monkeypatch.setattr(reference, "load_reference", load)
+        raced.append(p)
+        if not corrupt:
+            os.unlink(p)
+        try:
+            return load(p, problem)
+        finally:
+            if corrupt:
+                os.unlink(p)
+    monkeypatch.setattr(reference, "load_reference", racing_load)
+    again = generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    assert raced == [path]
+    assert again.cache == ("regenerated" if corrupt else "built")
+    np.testing.assert_array_equal(np.asarray(again.values), ref.values)
+    assert path.read_bytes() == good
+
+
+def test_cache_events(tmp_path):
+    prob, ref = _small_ref()
+    assert (ref.cache, ref.load_s) == ("memory", None)
+    built = generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    hit = generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    assert (built.cache, hit.cache) == ("built", "hit")
+    assert built.load_s > 0 and hit.load_s > 0
 
 
 def test_metadata_mismatch_detected(tmp_path):

@@ -212,6 +212,25 @@ def test_reference_cache_is_reused(tmp_path):
     assert cache[0].stat().st_mtime_ns == mtime
 
 
+def test_report_records_cache_events(tmp_path):
+    # the desk config: built, then a hit, then regenerated after one flip
+    config = ExperimentConfig(output_dir=str(tmp_path))
+    blocks = []
+    for flip in (False, False, True):
+        if flip:
+            [path] = (tmp_path / "cache").iterdir()
+            raw = bytearray(path.read_bytes())
+            raw[1000] ^= 0x01
+            path.write_bytes(bytes(raw))
+        run_benchmark(config)
+        doc = json.loads((tmp_path / "report_polynomial.json").read_text())
+        blocks.append(doc["reference"])
+    assert [b["cache"] for b in blocks] == ["built", "hit", "regenerated"]
+    for b in blocks:
+        assert (b["nx"], b["ny"], b["Nt"]) == (200, 200, 400)
+        assert 0 < b["load_s"] < 60
+
+
 # ------------------------------------------------------------- snapshots
 
 def test_emit_snapshots(small_result, tmp_path):
