@@ -12,7 +12,8 @@ them in a thread pool (os.pread and hashlib release the GIL), so a load
 keeps about one level per CPU resident; it maps the values only after the
 checksum has passed, through the file it verified. Version 2 files are
 rejected. Generation streams slice by slice, so the peak memory stays at
-one spatial slice.
+one spatial slice. A file is verified and mapped before it is published:
+the writer renames its temporary file onto the cache path only then.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class ReferenceSolution:
 
 
 def write_reference(ref: ReferenceSolution, path) -> None:
-    """Write a complete reference in the WBEN format (atomic)."""
+    """Write a complete reference in the WBEN format; the file is verified
+    and mapped before it is renamed onto `path` (atomic)."""
     _stream_write(Path(path), ref.grid_nx, ref.grid_ny, ref.Nt_ref,
                   ref.problem, ref.dt_ref, iter(ref.values))
 
@@ -98,7 +100,9 @@ def _stream_write(path: Path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices):
                 leaves.append(hashlib.sha256(data).digest())
                 f.write(data)
             f.write(_trailer(header, leaves))
+        ref = load_reference(tmp, problem)
         os.replace(tmp, path)
+        return ref
     except BaseException:
         os.unlink(tmp)
         raise
@@ -221,7 +225,6 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
             values[k] = sl
         return ReferenceSolution(problem, ref_nx, ref_ny, dt_ref, Nt_ref, values)
 
-    _stream_write(path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices())
-    ref = load_reference(path, problem)
+    ref = _stream_write(path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices())
     ref.cache = event
     return ref

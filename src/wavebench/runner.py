@@ -230,8 +230,7 @@ def run_benchmark(config: ExperimentConfig, ref=None,
     return result
 
 
-def emit_snapshots(config: ExperimentConfig, model, traj, ref,
-                   out_dir=None) -> list:
+def emit_snapshots(config: ExperimentConfig, model, traj, ref) -> list:
     """Write plot-ready snapshot grids for each method and snapshot time.
 
     Per time: the reference on its native grid, the FEM solution
@@ -239,7 +238,7 @@ def emit_snapshots(config: ExperimentConfig, model, traj, ref,
     grid. Each snapshot is written as CSV (x, y, value). Boundary rows and
     columns are exact zeros.
     """
-    out = Path(out_dir or config.output_dir) / "snapshots"
+    out = Path(config.output_dir) / "snapshots"
     out.mkdir(parents=True, exist_ok=True)
     ref_X, ref_Y = np.meshgrid(*build_structured_mesh(
         config.L1, config.L2, ref.grid_nx, ref.grid_ny).axes())

@@ -154,6 +154,17 @@ def _toy_reference(fn, nx=32, Nt=64):
     return ReferenceSolution(prob, nx, nx, 1.0 / Nt, Nt, values)
 
 
+@pytest.mark.parametrize("Nt_eval", [3, 0])
+def test_uneven_interval_count_rejected_before_any_evaluation(Nt_eval):
+    ref = _toy_reference(lambda x, y, t: 1.0 + 0.0 * x, nx=4, Nt=8)
+    mesh = build_structured_mesh(1.0, 1.0, 4, 4)
+
+    def solution(x, y, t):
+        raise AssertionError("solution evaluated before the Simpson check")
+    with pytest.raises(ValueError, match="even interval count"):
+        compute_error_report(solution, ref, mesh, Nt_eval=Nt_eval)
+
+
 def test_space_time_error_of_identical_field_is_zero():
     fn = lambda x, y, t: np.sin(np.pi * x) * np.sin(np.pi * y) * (1 - t / 2)
     ref = _toy_reference(fn)

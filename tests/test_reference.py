@@ -349,6 +349,24 @@ def test_cache_file_removed_during_load_is_rebuilt(tmp_path, monkeypatch,
     assert path.read_bytes() == good
 
 
+def test_file_pruned_right_after_publishing_keeps_the_build(tmp_path,
+                                                              monkeypatch):
+    # another process prunes the file as soon as the writer has renamed it
+    # onto the cache path: the build returns the mapping it verified before
+    expected = _small_ref(nx=8, dt=1.0 / 16)[1].values
+    replace = os.replace
+
+    def replace_then_prune(src, dst):
+        replace(src, dst)
+        os.unlink(dst)
+    monkeypatch.setattr(reference.os, "replace", replace_then_prune)
+    ref = generate_reference(WaveProblem(), 8, 8, 1.0 / 16, tmp_path)
+    assert ref.cache == "built"
+    assert ref.values.shape == (17, 9, 9)
+    np.testing.assert_array_equal(np.asarray(ref.values), expected)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_events(tmp_path):
     prob, ref = _small_ref()
     assert (ref.cache, ref.load_s) == ("memory", None)

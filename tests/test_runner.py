@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,10 @@ def test_config_rejects_dt_ref_not_dividing_horizon():
 
 
 def test_config_default_dt_ref_and_paper_scale():
+    # the desk default: a 200 x 200 reference over 400 steps
+    desk = ExperimentConfig()
+    assert (desk.ref_nx, desk.ref_ny) == (200, 200)
+    assert reference.step_count(desk.T, desk.dt_ref) == 400
     config = ExperimentConfig(ref_nx=100, ref_ny=100)
     assert config.dt_ref == pytest.approx(1.0 / 200)
     big = config.paper_scale()
@@ -213,8 +218,9 @@ def test_reference_cache_is_reused(tmp_path):
 
 
 def test_report_records_cache_events(tmp_path):
-    # the desk config: built, then a hit, then regenerated after one flip
-    config = ExperimentConfig(output_dir=str(tmp_path))
+    # built, then a hit, then regenerated after one flip; the desk grid's
+    # defaults are checked in test_config_default_dt_ref_and_paper_scale
+    config = _small_config(tmp_path)
     blocks = []
     for flip in (False, False, True):
         if flip:
@@ -227,7 +233,7 @@ def test_report_records_cache_events(tmp_path):
         blocks.append(doc["reference"])
     assert [b["cache"] for b in blocks] == ["built", "hit", "regenerated"]
     for b in blocks:
-        assert (b["nx"], b["ny"], b["Nt"]) == (200, 200, 400)
+        assert (b["nx"], b["ny"], b["Nt"]) == (48, 48, 96)
         assert 0 < b["load_s"] < 60
 
 
@@ -236,8 +242,8 @@ def test_report_records_cache_events(tmp_path):
 def test_emit_snapshots(small_result, tmp_path):
     config, result = small_result
     ref = get_reference(config)
-    files = emit_snapshots(config, result.model, result.trajectory, ref,
-                           out_dir=tmp_path)
+    files = emit_snapshots(replace(config, output_dir=str(tmp_path)),
+                           result.model, result.trajectory, ref)
     # 5 times x 3 methods, CSV only
     assert len(files) == 15
     for path in files:
