@@ -138,7 +138,9 @@ def load_reference(path, problem: WaveProblem) -> ReferenceSolution:
                 raise CacheError(f"{path}: stored {name}={a} differs from "
                                  f"requested {b}")
         level = 8 * (ny + 1) * (nx + 1)
-        with ThreadPoolExecutor(os.cpu_count()) as pool:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+        with ThreadPoolExecutor(workers) as pool:
             leaves = pool.map(
                 lambda off: hashlib.sha256(os.pread(fd, level, off)).digest(),
                 range(_HEADER.size, size - 8, level))

@@ -204,6 +204,8 @@ def run_benchmark(config: ExperimentConfig, ref=None,
     """Full DoF-matched benchmark for one initial condition."""
     if ref is None:
         ref = get_reference(config)
+    elif ref.problem != config.problem():
+        raise ValueError(f"reference is for {ref.problem}, not {config.problem()}")
 
     model, match, traj, fit_s, solve_s = fit_and_solve(config)
     ep_field = lambda x, y, t: spectral.predict(model, x, y, t)

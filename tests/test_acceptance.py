@@ -1,10 +1,11 @@
 """Acceptance gate: the ten release criteria, one verdict line each.
 
 The first three criteria reproduce the published accuracy tables at full
-scale (400 x 400 reference, N = 40, m = 5000). On a cold cache the suite
-takes about 100 s on a 2-vCPU VM, almost all of it building the two
-400 x 400 references (about 45-50 s each); they are cached under
-/tmp/wbench and reused afterwards, when the suite takes about 10 s. The matched FEM solve uses the one-sided stiffness
+scale (400 x 400 reference, N = 40, m = 5000). On a cold cache the whole
+Tier-1 run took 88-94 s on a 2-vCPU VM, almost all of it in the two
+fixtures that build the 400 x 400 references (38-43 s each); they are
+cached under /tmp/wbench and reused afterwards, when Tier-1 took 11 s and
+this file alone 7 s. The matched FEM solve uses the one-sided stiffness
 average (`paper_update`) that those tables were produced with; the
 conserving scheme is exercised separately by criteria 6 and 7.
 """

@@ -6,7 +6,8 @@ from scipy.sparse.linalg import spsolve
 
 from wavebench.mesh import build_structured_mesh
 from wavebench.fem import (FemSystem, interior_values, cn_steps, cn_solve,
-                           discrete_energy, p1_interpolate, _mass_solve)
+                           discrete_energy, p1_interpolate, _mass_solve,
+                           _nested_dissection)
 from wavebench.problem import WaveProblem, single_mode_solution
 
 
@@ -233,6 +234,8 @@ def test_factorize_once():
     assert paper.stats["factorizations"] == 1
     assert paper.stats["solves"] == 39            # the hold start needs no M solve
     assert paper.stats["cg_iters"] == 0
+    for stats in (traj.stats, paper.stats):       # one product with M per step
+        assert stats["spmv"] == stats["solves"]
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -248,15 +251,24 @@ def test_taylor_start_cg_matches_direct_solve(n, ic):
     assert 0 < stats["cg_iters"] <= 40
 
 
-@pytest.mark.parametrize("paper_update", [False, True])
-def test_cn_solve_matches_spsolve_oracle(paper_update):
-    # each level from scratch with a direct solve: a wrong permutation or
-    # a stale factor in the stepping path would show at the first step
-    mesh, sys = _system(24)
+# (nx, ny, c) by id suffix: square, non-square, a thin strip, a fast wave
+_ORACLE_MESHES = {"": (24, 24, 1.0), "-24x17": (24, 17, 1.0),
+                  "-40x3": (40, 3, 1.0), "-c10": (24, 24, 10.0)}
+
+
+@pytest.mark.parametrize("paper_update, nx, ny, c", [
+    pytest.param(update, *mesh, id=f"{update}{tag}")
+    for tag, mesh in _ORACLE_MESHES.items() for update in (False, True)])
+def test_cn_solve_matches_spsolve_oracle(paper_update, nx, ny, c):
+    # each level from scratch with a direct solve in natural order and the
+    # two-product right-hand side: a wrong permutation or a stale factor in
+    # the stepping path would show at the first step
+    mesh = build_structured_mesh(1.0, 1.0, nx, ny)
+    sys = FemSystem.build(mesh, c)
     u0 = interior_values(WaveProblem(ic="mollifier").initial_condition(), mesh)
     dt, Nt = 1.0 / 48, 48
     traj = cn_solve(sys, u0, dt, Nt, paper_update)
-    a = dt**2 / 2.0
+    a = c**2 * dt**2 / 2.0
     A = (sys.M + a * sys.K).tocsc()
     if paper_update:
         B, C = 2.0 * sys.M - a * sys.K, sys.M
@@ -269,6 +281,18 @@ def test_cn_solve_matches_spsolve_oracle(paper_update):
     expect = np.array(levels)
     np.testing.assert_allclose(traj.snapshots, expect, rtol=0,
                                atol=1e-12 * np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("nx, ny, axis", [(23, 16, 1), (39, 2, 1),
+                                           (16, 23, 0)])
+def test_nested_dissection_orders_every_unknown_cut_last(nx, ny, axis):
+    # the top-level cut is the middle grid line across the longer side,
+    # a column (axis 1) when x is longer
+    order = _nested_dissection(nx, ny)
+    assert sorted(order) == list(range(nx * ny))
+    grid = np.arange(nx * ny).reshape(ny, nx)
+    cut = np.take(grid, grid.shape[axis] // 2, axis=axis)
+    np.testing.assert_array_equal(order[-cut.size:], cut)
 
 
 def test_second_order_convergence_single_mode():

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -294,6 +295,20 @@ def test_nothing_mapped_before_checksum(tmp_path, monkeypatch):
     monkeypatch.setattr(reference.np, "memmap", no_map)
     with pytest.raises(CacheError, match="checksum"):
         load_reference(path, prob)
+
+
+def test_hash_pool_sized_by_usable_cpus(tmp_path, monkeypatch):
+    prob, path, _ = _written(tmp_path)
+    workers = []
+
+    def pool(max_workers):
+        workers.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+    monkeypatch.setattr(reference, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    load_reference(path, prob)
+    assert workers == [1]
 
 
 def test_values_come_from_the_verified_file(tmp_path, monkeypatch):

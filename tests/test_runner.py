@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavebench import cli, metrics, reference, spectral
+from wavebench import cli, metrics, reference, runner, spectral
 from wavebench.mesh import build_structured_mesh
+from wavebench.problem import WaveProblem
 from wavebench.runner import (ExperimentConfig, run_benchmark, emit_snapshots,
                               get_reference, CSV_HEADER)
 
@@ -204,6 +205,22 @@ def test_report_matches_recorded_values(tmp_path, ic):
     for name, rep in (("bepgp", result.ep_report), ("cn_fem", result.cn_report)):
         got = (rep.st_l2, rep.st_rel, rep.linf_l2, rep.linf_rel)
         assert got == pytest.approx(want[name], rel=1e-8), name
+
+
+@pytest.mark.parametrize("problem", [WaveProblem(ic="mollifier"),
+                                     WaveProblem(c=2.0)], ids=["ic", "c"])
+def test_reference_of_another_problem_rejected(tmp_path, monkeypatch, problem):
+    config = _small_config(tmp_path, N=4, m=120, ref_nx=16, ref_ny=16,
+                           Nt_eval=10)
+    ref = reference.generate_reference(problem, 16, 16, config.dt_ref, None)
+
+    def no_fit(config):
+        raise AssertionError("fitted against a reference of another problem")
+    monkeypatch.setattr(runner, "fit_and_solve", no_fit)
+    with pytest.raises(ValueError) as err:
+        run_benchmark(config, ref=ref)
+    assert repr(problem) in str(err.value)
+    assert repr(config.problem()) in str(err.value)
 
 
 def test_reference_cache_is_reused(tmp_path):
