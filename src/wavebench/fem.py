@@ -119,7 +119,7 @@ def _at_time(levels, t: float, dt: float, T: float) -> np.ndarray:
 
     Times within round-off of [0, T] are clamped to the stored levels.
     """
-    if t < -1e-12 or t > T * (1 + 1e-12):
+    if not -1e-12 <= t <= T * (1 + 1e-12):          # NaN fails it too
         raise ValueError(f"time {t} outside [0, {T}]")
     levels = np.asarray(levels)             # a memmap's rows as plain views
     Nt = len(levels) - 1

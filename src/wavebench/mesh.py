@@ -89,8 +89,9 @@ def _locate_cells(shape, L1: float, L2: float, x, y):
     nx = shape[1] - 1
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > L1 * (1 + 1e-12)) \
-            or np.any(y < -1e-12) or np.any(y > L2 * (1 + 1e-12)):
+    # written so that NaN fails the check too
+    if not (np.all((x >= -1e-12) & (x <= L1 * (1 + 1e-12)))
+            and np.all((y >= -1e-12) & (y <= L2 * (1 + 1e-12)))):
         raise ValueError("evaluation point outside the domain")
     gx = np.clip(x / L1 * nx, 0.0, nx)
     gy = np.clip(y / L2 * ny, 0.0, ny)

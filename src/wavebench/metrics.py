@@ -4,7 +4,9 @@ Space: the 4-point degree-3 triangle rule (barycentric centroid with weight
 -27/48 plus the three permutations of (3/5, 1/5, 1/5) with weight 25/48).
 Time: composite Simpson's 1/3 rule over a uniform evaluation grid. The
 reference solution is read back by bilinear interpolation in space and
-linear interpolation in time.
+linear interpolation in time, once per mesh: `sample_reference` reads it at
+every quadrature point and evaluation time, and every solver scored on that
+mesh shares the result.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "mesh_quadrature",
     "bilinear_interp",
     "simpson_weights",
+    "sample_reference",
     "compute_error_report",
 ]
 
@@ -95,30 +98,61 @@ class ErrorReport:
         return {**vars(self), "per_snapshot": self.per_snapshot.tolist()}
 
 
-def compute_error_report(solution, ref, mesh: Mesh,
-                         Nt_eval: int = 200) -> ErrorReport:
+def _eval_times(T: float, Nt_eval: int):
+    """The Nt_eval + 1 evaluation times over [0, T] and their Simpson weights."""
+    times, dt = np.linspace(0.0, T, Nt_eval + 1, retstep=True)
+    return times, simpson_weights(Nt_eval, dt)
+
+
+def sample_reference(ref, mesh: Mesh, Nt_eval: int = 200):
+    """The reference at every quadrature point of `mesh` and evaluation time.
+
+    Returns (values, norms): values[n] holds the reference at the points of
+    `mesh_quadrature(mesh)` at the n-th of the Nt_eval + 1 evaluation times,
+    read with one `ref.at_time` call per time, and norms[n] is its spatial
+    L2 norm R_n over the mesh.
+    """
+    times, _ = _eval_times(ref.problem.T, Nt_eval)
+    pts, w = mesh_quadrature(mesh)
+    # every slice shares one grid, so the points are located once
+    cells = _locate_cells(ref.values.shape[1:], mesh.L1, mesh.L2,
+                          pts[:, 0], pts[:, 1])
+    values = np.empty((Nt_eval + 1, len(w)))
+    for n, t in enumerate(times):
+        values[n] = _bilinear(ref.at_time(t), cells)
+    # one dot product per time, as the errors take; a matrix-vector
+    # product may sum in another order
+    norms = np.array([np.sqrt(max(w @ v**2, 0.0)) for v in values])
+    return values, norms
+
+
+def compute_error_report(solution, ref, mesh: Mesh, Nt_eval: int = 200,
+                         ref_samples=None) -> ErrorReport:
     """Full error report of a space-time field against the reference.
 
-    `solution` is a callable (x, y, t) -> values and `ref` a
-    ReferenceSolution. At each of the Nt_eval + 1 evaluation times the
-    spatial L2 error E_n and reference norm R_n are integrated over the
-    mesh; Simpson's rule in time then gives the space-time norms.
+    `solution` is a callable (x, y, t) -> values, called once per
+    evaluation time with all quadrature points, and `ref` a
+    ReferenceSolution. `ref_samples` is `sample_reference(ref, mesh,
+    Nt_eval)`, read here when not given; pass it to score several solvers
+    from one read. At each of the Nt_eval + 1 evaluation times the spatial
+    L2 error E_n and reference norm R_n are integrated over the mesh;
+    Simpson's rule in time then gives the space-time norms.
     """
-    times, dt = np.linspace(0.0, ref.problem.T, Nt_eval + 1, retstep=True)
-    wt = simpson_weights(Nt_eval, dt)
+    times, wt = _eval_times(ref.problem.T, Nt_eval)
     pts, w = mesh_quadrature(mesh)
     x, y = pts[:, 0], pts[:, 1]
+    if ref_samples is None:
+        ref_samples = sample_reference(ref, mesh, Nt_eval)
+    ref_vals, R = ref_samples
+    if ref_vals.shape != (Nt_eval + 1, len(w)):
+        raise ValueError(f"reference samples of shape {ref_vals.shape}, not "
+                         f"{(Nt_eval + 1, len(w))} (times, quadrature points)")
     E = np.empty(Nt_eval + 1)
-    R = np.empty(Nt_eval + 1)
-    # every slice shares one grid, so the points are located once
-    cells = _locate_cells(ref.at_time(0.0).shape, mesh.L1, mesh.L2, x, y)
     for n, t in enumerate(times):
-        ref_vals = _bilinear(ref.at_time(t), cells)
         sol_vals = np.asarray(solution(x, y, t), dtype=float)
         # the negative centroid weight can push a tiny squared integral
         # below zero
-        E[n] = np.sqrt(max(w @ (sol_vals - ref_vals) ** 2, 0.0))
-        R[n] = np.sqrt(max(w @ ref_vals**2, 0.0))
+        E[n] = np.sqrt(max(w @ (sol_vals - ref_vals[n]) ** 2, 0.0))
     st = float(np.sqrt(wt @ E**2))
     ref_norm = float(np.sqrt(wt @ R**2))
     # The max-in-time error is normalized by the reference norm at the

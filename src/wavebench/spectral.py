@@ -351,17 +351,23 @@ class SpectralModel:
     def sine_tables(self, x: np.ndarray, y: np.ndarray):
         """Sine tables at the points (x, y), reused while their values repeat.
 
-        The last pair is kept with private copies of x and y, so arrays
-        changed in place get fresh tables.
+        Returns (sx, inv, sy): sx is the x table at the distinct x values
+        only, and point p takes its row inv[p]; sy is the y table. The last
+        point set is kept with private copies of x and y, so arrays changed
+        in place get fresh tables. Points outside the closed rectangle, NaN
+        included, are rejected when their tables are formed; a repeat of the
+        kept set was checked then.
         """
         last = self._tables
         if last and np.array_equal(last[0], x) and np.array_equal(last[1], y):
-            return last[2], last[3]
+            return last[2:]
         b = self.basis
-        sx = _sine_table(x, b.N, b.L1)
-        sy = _sine_table(y, b.N, b.L2)
-        object.__setattr__(self, "_tables", (x.copy(), y.copy(), sx, sy))
-        return sx, sy
+        if not (np.all((x >= 0) & (x <= b.L1)) and np.all((y >= 0) & (y <= b.L2))):
+            raise ValueError("evaluation point outside the closed rectangle")
+        xu, inv = np.unique(x, return_inverse=True)
+        tables = (_sine_table(xu, b.N, b.L1), inv, _sine_table(y, b.N, b.L2))
+        object.__setattr__(self, "_tables", (x.copy(), y.copy()) + tables)
+        return tables
 
     def to_json(self) -> str:
         doc = {
@@ -418,19 +424,21 @@ def fit_spectral_model(problem, N: int, m: int, seed: int = 0) -> SpectralModel:
 def predict(model: SpectralModel, x, y, t: float):
     """Evaluate the surrogate at points (x, y) and time t.
 
+    x and y broadcast against each other and the result takes their shape;
+    a scalar pair gives a float. The time-t weights W_t are applied to the
+    sine table of the distinct x values, and each point gathers its row of
+    that product: the n = 12 quadrature points have 79 distinct x values
+    among 1,152, so a call costs 79 N^2 multiply-adds instead of 1,152 N^2.
     Repeated calls at equal point arrays (one per evaluation time in an
-    error report) reuse the model's sine tables of the previous call.
+    error report) reuse the model's tables of the previous call.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("time must be finite and nonnegative")
     b = model.basis
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.atleast_1d(x), np.atleast_1d(y)
-    if np.any(x < 0) or np.any(x > b.L1) or np.any(y < 0) or np.any(y > b.L2):
-        raise ValueError("evaluation point outside the closed rectangle")
-    sx, sy = model.sine_tables(x, y)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
+    shape = x.shape
+    sx, inv, sy = model.sine_tables(x.ravel(), y.ravel())
     Wt = model.weights.reshape(b.N, b.N) * np.cos(b.omegas * t)
-    out = np.einsum("pk,pk->p", sx @ Wt, sy)
-    return float(out[0]) if scalar else out
+    out = np.einsum("pk,pk->p", (sx @ Wt)[inv], sy)
+    return out.reshape(shape) if shape else float(out[0])

@@ -167,6 +167,14 @@ def test_p1_interpolate_domain_check():
         p1_interpolate(grid, 1.0, 1.0, 1.2, 0.5)
 
 
+@pytest.mark.parametrize("x, y", [(np.nan, 0.5), (0.5, np.nan),
+                                  (-np.inf, 0.5), (0.5, np.inf)])
+def test_p1_interpolate_rejects_non_finite_points(x, y):
+    with pytest.raises(ValueError, match="outside the domain"):
+        p1_interpolate(np.zeros((3, 3)), 1.0, 1.0, np.array([0.2, x]),
+                       np.array([0.2, y]))
+
+
 # ---------------------------------------------------------------------------
 # time stepping
 
@@ -319,6 +327,9 @@ def test_trajectory_field_matches_snapshots():
     # halfway between stored levels: linear blend
     mid = 0.5 * (traj.snapshots[5] + traj.snapshots[6])
     np.testing.assert_allclose(f(x, y, 0.55), mid, atol=1e-13)
+    for t in (np.nan, np.inf, 1.5):
+        with pytest.raises(ValueError, match="outside"):
+            f(x, y, t)
 
 
 def test_full_grids_boundary_zero():

@@ -6,7 +6,7 @@ import pytest
 from wavebench.mesh import build_structured_mesh
 from wavebench.metrics import (_QUAD_BARY, _QUAD_W, mesh_quadrature,
                                bilinear_interp, simpson_weights,
-                               compute_error_report)
+                               sample_reference, compute_error_report)
 from wavebench.problem import WaveProblem
 from wavebench.reference import ReferenceSolution
 
@@ -121,6 +121,14 @@ def test_bilinear_interp_exact_at_nodes():
 def test_bilinear_interp_domain_check():
     with pytest.raises(ValueError):
         bilinear_interp(np.zeros((3, 3)), 1.0, 1.0, -0.1, 0.5)
+
+
+@pytest.mark.parametrize("x, y", [(np.nan, 0.5), (0.5, np.nan),
+                                  (np.inf, 0.5), (0.5, -np.inf)])
+def test_bilinear_interp_rejects_non_finite_points(x, y):
+    with pytest.raises(ValueError, match="outside the domain"):
+        bilinear_interp(np.zeros((3, 3)), 1.0, 1.0, np.array([0.2, x]),
+                        np.array([0.2, y]))
 
 
 def test_simpson_exact_on_cubics():
@@ -238,3 +246,18 @@ def test_linf_rel_normalizes_at_the_peak_error_snapshot():
     rep = compute_error_report(sol, ref, mesh, Nt_eval=10)
     assert rep.linf_l2 == pytest.approx(0.1, rel=1e-2)
     assert rep.linf_rel == pytest.approx(0.2, rel=1e-2)
+
+
+def test_shared_reference_samples_give_the_same_report():
+    base = lambda x, y, t: (1 + t) * np.sin(np.pi * x) * np.sin(np.pi * y)
+    ref = _toy_reference(base)
+    mesh = build_structured_mesh(1.0, 1.0, 8, 8)
+    sol = lambda x, y, t: base(x, y, t) + 0.1 * x * y
+    samples = sample_reference(ref, mesh, Nt_eval=10)
+    assert samples[0].shape == (11, 4 * 2 * 8 * 8)
+    assert samples[1].shape == (11,)
+    shared = compute_error_report(sol, ref, mesh, 10, samples)
+    own = compute_error_report(sol, ref, mesh, 10)
+    assert shared.to_dict() == own.to_dict()
+    with pytest.raises(ValueError, match="reference samples of shape"):
+        compute_error_report(sol, ref, mesh, 8, samples)

@@ -207,6 +207,39 @@ def test_report_matches_recorded_values(tmp_path, ic):
         assert got == pytest.approx(want[name], rel=1e-8), name
 
 
+def test_both_reports_share_one_reference_read(tmp_path, monkeypatch):
+    config = _small_config(tmp_path, N=4, m=120, ref_nx=32, ref_ny=32,
+                           Nt_eval=10)
+    ref = reference.generate_reference(config.problem(), 32, 32,
+                                       config.dt_ref, None)
+    times = []
+    at_time = reference.ReferenceSolution.at_time
+
+    def counted(self, t):
+        times.append(t)
+        return at_time(self, t)
+    monkeypatch.setattr(reference.ReferenceSolution, "at_time", counted)
+    run_benchmark(config, ref=ref, write_outputs=False)
+    assert times == list(np.linspace(0.0, config.T, config.Nt_eval + 1))
+
+
+def test_report_times_its_stages(tmp_path):
+    config = _small_config(tmp_path, N=10, m=400, ref_nx=32, ref_ny=32,
+                           Nt_eval=100)
+    ref = reference.generate_reference(config.problem(), 32, 32,
+                                       config.dt_ref, None)
+    run_benchmark(config, ref=ref)
+    doc = json.loads((tmp_path / "report_polynomial.json").read_text())
+    timings = doc["timings"]
+    assert set(timings) == {"reference_s", "reference_read_s",
+                            "bepgp_report_s", "cn_fem_report_s", "total_s"}
+    assert all(v >= 0 for v in timings.values())
+    stages = (sum(v for k, v in timings.items() if k != "total_s")
+              + doc["fit_seconds"] + doc["solve_seconds"])
+    assert stages == pytest.approx(timings["total_s"], rel=0.05)
+    assert stages <= timings["total_s"]
+
+
 @pytest.mark.parametrize("problem", [WaveProblem(ic="mollifier"),
                                      WaveProblem(c=2.0)], ids=["ic", "c"])
 def test_reference_of_another_problem_rejected(tmp_path, monkeypatch, problem):

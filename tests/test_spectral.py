@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from wavebench.mesh import build_structured_mesh
+from wavebench.metrics import mesh_quadrature
 from wavebench.problem import WaveProblem, single_mode_solution
 from wavebench.spectral import (SpectralBasis, SpectralModel, lhs_sample,
                                 DesignMatrix, build_design_matrix,
@@ -403,8 +405,8 @@ def test_predict_reuses_tables_only_for_equal_points():
                          _sine_table(y, 5, 1.0))
 
     first = predict(model, x, y, 0.3)
-    sx, sy = model.sine_tables(x, y)
-    np.testing.assert_array_equal(sx, _sine_table(x, 5, 1.0))
+    sx, inv, sy = model.sine_tables(x, y)
+    np.testing.assert_array_equal(sx[inv], _sine_table(x, 5, 1.0))
     np.testing.assert_array_equal(sy, _sine_table(y, 5, 1.0))
     np.testing.assert_array_equal(predict(model, x.copy(), y.copy(), 0.3), first)
     assert model.sine_tables(x.copy(), y.copy())[0] is sx   # tables reused
@@ -415,6 +417,66 @@ def test_predict_reuses_tables_only_for_equal_points():
     np.testing.assert_allclose(predict(model, x, y, 0.8), oracle(0.8),
                                atol=1e-15)
     assert model.sine_tables(x, y)[0] is not sx
+
+
+def test_predict_matches_the_per_point_product_bit_for_bit():
+    # the distinct-x table gathers the same rows that a table over every
+    # point holds, so each point sums the same products in the same order
+    prob = WaveProblem(ic="mollifier")
+    model = fit_spectral_model(prob, N=12, m=600, seed=4)
+    rng = np.random.default_rng(8)
+    quad = mesh_quadrature(build_structured_mesh(1.0, 1.0, 12, 12))[0]
+    x, y = quad[:, 0].copy(), quad[:, 1].copy()
+    assert np.unique(x).size == 79
+    scattered = rng.random(50), rng.random(50)
+
+    def oracle(x, y, t):
+        Wt = model.weights.reshape(12, 12) * np.cos(model.basis.omegas * t)
+        sx, sy = _sine_table(x, 12, 1.0), _sine_table(y, 12, 1.0)
+        per_point = np.einsum("pk,pk->p", sx @ Wt, sy)
+        # the three-operand contraction sums in another order
+        np.testing.assert_allclose(per_point,
+                                   np.einsum("pj,jk,pk->p", sx, Wt, sy),
+                                   rtol=0, atol=1e-14)
+        return per_point
+
+    def check(px, py):
+        for t in (0.0, 0.35, 1.0):
+            np.testing.assert_array_equal(predict(model, px, py, t),
+                                          oracle(px, py, t))
+    check(x, y)
+    check(*scattered)
+    check(x, y)
+    x[::3] = rng.random(x[::3].size)         # the same arrays, changed in place
+    y[1::2] = 0.5
+    check(x, y)
+
+
+def test_predict_keeps_the_broadcast_shape():
+    prob = WaveProblem(ic="polynomial")
+    model = fit_spectral_model(prob, N=5, m=200, seed=0)
+    X, Y = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0.1, 0.9, 4))
+    G = predict(model, X, Y, 0.6)
+    assert G.shape == (4, 5)
+    pointwise = [[predict(model, a, b, 0.6) for a, b in zip(xr, yr)]
+                 for xr, yr in zip(X, Y)]
+    np.testing.assert_allclose(G, pointwise, rtol=0, atol=1e-15)
+    assert isinstance(predict(model, 0.3, 0.4, 0.6), float)
+    row = predict(model, X[0], 0.1, 0.6)        # a scalar y broadcasts
+    assert row.shape == (5,)
+    np.testing.assert_array_equal(row, G[0])
+
+
+@pytest.mark.parametrize("x, y, t", [(np.nan, 0.5, 0.1), (0.5, np.nan, 0.1),
+                                     (np.inf, 0.5, 0.1), (0.5, 0.5, np.nan),
+                                     (0.5, 0.5, np.inf)])
+def test_predict_rejects_non_finite_points_and_times(x, y, t):
+    prob = WaveProblem(ic="polynomial")
+    model = fit_spectral_model(prob, N=3, m=50, seed=0)
+    message = "time must be" if np.isfinite(x) and np.isfinite(y) \
+        else "outside the closed rectangle"
+    with pytest.raises(ValueError, match=message):
+        predict(model, np.array([0.2, x]), np.array([0.2, y]), t)
 
 
 def test_predict_boundary_exactly_zero():
