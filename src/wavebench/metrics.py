@@ -3,10 +3,9 @@
 Space: the 4-point degree-3 triangle rule (barycentric centroid with weight
 -27/48 plus the three permutations of (3/5, 1/5, 1/5) with weight 25/48).
 Time: composite Simpson's 1/3 rule over a uniform evaluation grid. The
-reference solution is read back by bilinear interpolation in space and
-linear interpolation in time, once per mesh: `sample_reference` reads it at
-every quadrature point and evaluation time, and every solver scored on that
-mesh shares the result.
+reference is read only by `sample_reference`, once per mesh and shared by
+every solver scored on it: bilinear on its own grid and rectangle in space
+(a mesh that leaves that rectangle is an error), linear in time.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .mesh import Mesh, _locate_cells
 __all__ = [
     "ErrorReport",
     "mesh_quadrature",
-    "bilinear_interp",
     "simpson_weights",
     "sample_reference",
     "compute_error_report",
@@ -50,15 +48,6 @@ def mesh_quadrature(mesh: Mesh):
     pts = np.einsum("qb,ebd->eqd", _QUAD_BARY, tri)       # (n_el, 4, 2)
     w = area[:, None] * _QUAD_W[None, :]
     return pts.reshape(-1, 2), w.ravel()
-
-
-def bilinear_interp(ref_slice: np.ndarray, L1: float, L2: float, x, y):
-    """Tensor-product bilinear interpolation on a uniform nodal grid.
-
-    `ref_slice` has shape (ny+1, nx+1) over [0, L1] x [0, L2]; exact at
-    grid nodes and for any bilinear function.
-    """
-    return _bilinear(ref_slice, _locate_cells(ref_slice.shape, L1, L2, x, y))
 
 
 def _bilinear(grid: np.ndarray, cells):
@@ -114,8 +103,9 @@ def sample_reference(ref, mesh: Mesh, Nt_eval: int = 200):
     """
     times, _ = _eval_times(ref.problem.T, Nt_eval)
     pts, w = mesh_quadrature(mesh)
-    # every slice shares one grid, so the points are located once
-    cells = _locate_cells(ref.values.shape[1:], mesh.L1, mesh.L2,
+    # every slice shares one grid, located once on the reference's own
+    # rectangle; a point outside it raises ValueError
+    cells = _locate_cells(ref.values.shape[1:], ref.problem.L1, ref.problem.L2,
                           pts[:, 0], pts[:, 1])
     values = np.empty((Nt_eval + 1, len(w)))
     for n, t in enumerate(times):

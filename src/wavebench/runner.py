@@ -62,8 +62,9 @@ class ExperimentConfig:
                              f"{self.paper_update!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.ref_nx < 1 or self.ref_ny < 1:
-            raise ValueError("ref_nx and ref_ny must be at least 1")
+        # a grid of one cell has no interior node: its reference is zero
+        if self.ref_nx < 2 or self.ref_ny < 2:
+            raise ValueError("ref_nx and ref_ny must be at least 2")
         if self.dt_ref is None:
             self.dt_ref = 1.0 / (2 * self.ref_nx)
         if not is_real_number(self.dt_ref):

@@ -26,6 +26,7 @@ import json
 import logging
 import mmap
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -79,12 +80,15 @@ class SpectralBasis:
         if min(self.L1, self.L2, self.c) <= 0:
             raise ValueError("lengths and wave speed must be positive")
 
-    @property
+    @cached_property
     def omegas(self) -> np.ndarray:
-        """Angular frequencies w_{jk}, shape (N, N), j indexing rows."""
+        """Angular frequencies w_{jk}, shape (N, N), j indexing rows; formed
+        once per basis and read-only, since every reader shares it."""
         j = np.arange(1, self.N + 1, dtype=float)
-        return self.c * np.pi * np.sqrt((j[:, None] / self.L1) ** 2
-                                        + (j[None, :] / self.L2) ** 2)
+        w = self.c * np.pi * np.sqrt((j[:, None] / self.L1) ** 2
+                                     + (j[None, :] / self.L2) ** 2)
+        w.flags.writeable = False
+        return w
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,9 @@ def build_design_matrix(points: np.ndarray, basis: SpectralBasis) -> DesignMatri
     """Sine tables and cosine moments of the basis at the sample points."""
     points = np.asarray(points, dtype=float)
     x, y = points[:, 0], points[:, 1]
-    if np.any(x < 0) or np.any(x > basis.L1) or np.any(y < 0) or np.any(y > basis.L2):
+    # written so that NaN fails the check too
+    if not (np.all((x >= 0) & (x <= basis.L1))
+            and np.all((y >= 0) & (y <= basis.L2))):
         raise ValueError("sample point outside the closed rectangle")
     d = np.pi * np.arange(2 * basis.N + 1, dtype=float)
     cx = np.cos(np.multiply.outer(x / basis.L1, d))

@@ -5,8 +5,8 @@ import pytest
 
 from wavebench.mesh import build_structured_mesh
 from wavebench.metrics import (_QUAD_BARY, _QUAD_W, mesh_quadrature,
-                               bilinear_interp, simpson_weights,
-                               sample_reference, compute_error_report)
+                               simpson_weights, sample_reference,
+                               compute_error_report)
 from wavebench.problem import WaveProblem
 from wavebench.reference import ReferenceSolution
 
@@ -94,41 +94,6 @@ def test_mesh_quadrature_bit_identical_to_node_table(dims):
     w = (area[:, None] * _QUAD_W[None, :]).ravel()
     got_pts, got_w = mesh_quadrature(build_structured_mesh(*dims))
     assert np.array_equal(got_pts, pts) and np.array_equal(got_w, w)
-
-
-def test_bilinear_interp_exact_for_bilinear():
-    fn = lambda x, y: 1.0 + 2.0 * x - y + 3.0 * x * y
-    xs = np.linspace(0, 1, 6)
-    X, Y = np.meshgrid(xs, xs)
-    grid = fn(X, Y)
-    rng = np.random.default_rng(22)
-    px, py = rng.random(40), rng.random(40)
-    np.testing.assert_allclose(bilinear_interp(grid, 1.0, 1.0, px, py),
-                               fn(px, py), atol=1e-14)
-
-
-def test_bilinear_interp_exact_at_nodes():
-    rng = np.random.default_rng(23)
-    grid = rng.random((4, 5))
-    xs = np.linspace(0, 1, 5)
-    ys = np.linspace(0, 1, 4)
-    X, Y = np.meshgrid(xs, ys)
-    np.testing.assert_allclose(
-        bilinear_interp(grid, 1.0, 1.0, X.ravel(), Y.ravel()),
-        grid.ravel(), atol=1e-14)
-
-
-def test_bilinear_interp_domain_check():
-    with pytest.raises(ValueError):
-        bilinear_interp(np.zeros((3, 3)), 1.0, 1.0, -0.1, 0.5)
-
-
-@pytest.mark.parametrize("x, y", [(np.nan, 0.5), (0.5, np.nan),
-                                  (np.inf, 0.5), (0.5, -np.inf)])
-def test_bilinear_interp_rejects_non_finite_points(x, y):
-    with pytest.raises(ValueError, match="outside the domain"):
-        bilinear_interp(np.zeros((3, 3)), 1.0, 1.0, np.array([0.2, x]),
-                        np.array([0.2, y]))
 
 
 def test_simpson_exact_on_cubics():
@@ -261,3 +226,38 @@ def test_shared_reference_samples_give_the_same_report():
     assert shared.to_dict() == own.to_dict()
     with pytest.raises(ValueError, match="reference samples of shape"):
         compute_error_report(sol, ref, mesh, 8, samples)
+
+
+def test_sample_reference_exact_for_bilinear_in_space_linear_in_time():
+    # bilinear in space times (1 + t): bilinear readback on a 5 x 3 cell
+    # grid and linear interpolation between levels reproduce it exactly
+    fn = lambda x, y, t: (1.0 + 2.0 * x - y + 3.0 * x * y) * (1.0 + t)
+    X, Y = np.meshgrid(np.linspace(0, 1, 6), np.linspace(0, 1, 4))
+    values = np.stack([fn(X, Y, t) for t in np.linspace(0, 1, 9)])
+    ref = ReferenceSolution(WaveProblem(ic="polynomial"), 5, 3, 1 / 8, 8,
+                            values)
+    mesh = build_structured_mesh(1.0, 1.0, 7, 7)
+    pts, w = mesh_quadrature(mesh)
+    got, norms = sample_reference(ref, mesh, Nt_eval=10)
+    for n, t in enumerate(np.linspace(0, 1, 11)):
+        np.testing.assert_allclose(got[n], fn(pts[:, 0], pts[:, 1], t),
+                                   rtol=0, atol=1e-14)
+        assert norms[n] == np.sqrt(w @ got[n] ** 2)
+
+
+def test_report_mesh_outside_the_reference_rectangle_is_rejected():
+    # the reference is read on its own rectangle, so a (0, 2) x (0, 1)
+    # mesh has quadrature points where a unit-square reference has no value
+    ref = _toy_reference(lambda x, y, t: (1 + t) * np.sin(np.pi * x)
+                         * np.sin(np.pi * y), nx=16, Nt=16)
+    wide = build_structured_mesh(2.0, 1.0, 6, 6)
+    sol = lambda x, y, t: 0.0 * x
+    with pytest.raises(ValueError, match="outside the domain"):
+        compute_error_report(sol, ref, wide, 10)
+    with pytest.raises(ValueError, match="outside the domain"):
+        compute_error_report(sol, ref, wide, 10,
+                             sample_reference(ref, wide, 10))
+    # a smaller mesh inside the reference's rectangle stays legal
+    inner = build_structured_mesh(0.5, 0.5, 6, 6)
+    rep = compute_error_report(sol, ref, inner, 10)
+    assert rep.st_rel == pytest.approx(1.0)

@@ -71,9 +71,11 @@ def test_config_rejects_non_integer_counts(overrides, message):
     ({"L1": -1.0}, "L1 must be strictly positive"),
     ({"c": 0.0}, "c must be strictly positive"),
     ({"ic": "polinomial"}, "unknown initial condition"),
-    ({"ref_nx": 0}, "ref_nx and ref_ny must be at least 1"),
-    ({"ref_ny": 0}, "ref_nx and ref_ny must be at least 1"),
-], ids=["L1", "c", "ic", "ref_nx", "ref_ny"])
+    ({"ref_nx": 0}, "ref_nx and ref_ny must be at least 2"),
+    ({"ref_ny": 0}, "ref_nx and ref_ny must be at least 2"),
+    ({"ref_nx": 1}, "ref_nx and ref_ny must be at least 2"),
+    ({"ref_ny": 1}, "ref_nx and ref_ny must be at least 2"),
+], ids=["L1", "c", "ic", "ref_nx", "ref_ny", "ref_nx_1", "ref_ny_1"])
 def test_config_rejects_bad_problem_and_grid(overrides, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**overrides)
@@ -419,11 +421,14 @@ def test_cli_requires_subcommand(capsys):
      "output_dir must be a string, got 5"),
     (["fit", "--config", "{tmp}/config.json"], '{"output_dir": null}',
      "output_dir must be a string, got None"),
+    (["benchmark", "--config", "{tmp}/config.json"],
+     '{"N": 4, "m": 120, "ref_nx": 1, "ref_ny": 1, "Nt_eval": 10}',
+     "ref_nx and ref_ny must be at least 2"),
 ], ids=["match_0", "negative_seed", "float_N_config", "no_solve",
         "config_not_object", "snapshot_times_not_list", "string_paper_update",
         "int_ic_params", "string_T", "bool_N", "string_dt_ref", "match_T_nan",
         "match_T_inf", "nan_dt_ref", "custom_ic", "int_output_dir",
-        "null_output_dir"])
+        "null_output_dir", "one_cell_reference"])
 def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys):
     (tmp_path / "config.json").write_text(config)
     with pytest.raises(SystemExit) as exc:

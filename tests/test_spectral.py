@@ -1,6 +1,7 @@
 """Sampling, design matrix, ridge/GCV machinery, surrogate prediction."""
 
 import logging
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +67,18 @@ def test_omegas():
     assert w[2, 1] == pytest.approx(3 * np.pi * np.sqrt(9 + 1))
 
 
+def test_omegas_formed_once_and_read_only():
+    b = SpectralBasis(3, L1=1.0, L2=2.0, c=3.0)
+    w = b.omegas
+    assert b.omegas is w and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 0.0
+    # the cached table is not a field: equality, hashing and asdict ignore it
+    assert b == SpectralBasis(3, L1=1.0, L2=2.0, c=3.0)
+    assert hash(b) == hash(SpectralBasis(3, L1=1.0, L2=2.0, c=3.0))
+    assert asdict(b) == {"N": 3, "L1": 1.0, "L2": 2.0, "c": 3.0}
+
+
 def test_design_matrix_column_order():
     # column (j-1)*N + (k-1) holds sin(j pi x) sin(k pi y)
     pts = lhs_sample(40, 1.0, 1.0, seed=2)
@@ -82,8 +95,11 @@ def test_design_matrix_column_order():
 
 def test_design_matrix_rejects_outside_points():
     basis = SpectralBasis(2)
-    with pytest.raises(ValueError):
-        build_design_matrix(np.array([[0.5, 1.5]]), basis)
+    # NaN compares false both ways, so it must fail the check, not slip past
+    for point in ([0.5, 1.5], [np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5],
+                  [0.5, -np.inf]):
+        with pytest.raises(ValueError, match="outside the closed rectangle"):
+            build_design_matrix(np.array([[0.2, 0.3], point]), basis)
 
 
 def _design_points(kind, L1, L2):
