@@ -2,10 +2,10 @@
 
 Space: the 4-point degree-3 triangle rule (barycentric centroid with weight
 -27/48 plus the three permutations of (3/5, 1/5, 1/5) with weight 25/48).
-Time: composite Simpson's 1/3 rule over a uniform evaluation grid. The
-reference is read only by `sample_reference`, once per mesh and shared by
-every solver scored on it: bilinear on its own grid and rectangle in space
-(a mesh that leaves that rectangle is an error), linear in time.
+Time: composite Simpson's 1/3 rule over a uniform evaluation grid. Only
+`sample_reference` reads the reference: bilinear on its own grid and
+rectangle (a mesh leaving it is an error), linear in time, and tagged with
+the mesh it was read on, the one mesh its samples may be scored on.
 """
 
 from __future__ import annotations
@@ -50,15 +50,6 @@ def mesh_quadrature(mesh: Mesh):
     return pts.reshape(-1, 2), w.ravel()
 
 
-def _bilinear(grid: np.ndarray, cells):
-    """Bilinear interpolation of `grid` at points already located in it."""
-    ix, iy, s, r = cells
-    return ((1 - s) * (1 - r) * grid[iy, ix]
-            + s * (1 - r) * grid[iy, ix + 1]
-            + (1 - s) * r * grid[iy + 1, ix]
-            + s * r * grid[iy + 1, ix + 1])
-
-
 def simpson_weights(Nt: int, dt: float) -> np.ndarray:
     """Composite Simpson 1/3 weights on Nt intervals (Nt even).
 
@@ -87,33 +78,26 @@ class ErrorReport:
         return {**vars(self), "per_snapshot": self.per_snapshot.tolist()}
 
 
-def _eval_times(T: float, Nt_eval: int):
-    """The Nt_eval + 1 evaluation times over [0, T] and their Simpson weights."""
-    times, dt = np.linspace(0.0, T, Nt_eval + 1, retstep=True)
-    return times, simpson_weights(Nt_eval, dt)
-
-
 def sample_reference(ref, mesh: Mesh, Nt_eval: int = 200):
     """The reference at every quadrature point of `mesh` and evaluation time.
 
-    Returns (values, norms): values[n] holds the reference at the points of
-    `mesh_quadrature(mesh)` at the n-th of the Nt_eval + 1 evaluation times,
-    read with one `ref.at_time` call per time, and norms[n] is its spatial
-    L2 norm R_n over the mesh.
+    Returns (mesh, values): values[n] holds the reference at the points of
+    `mesh_quadrature(mesh)` at the n-th of the Nt_eval + 1 evaluation
+    times, read with one `ref.at_time` call per time.
     """
-    times, _ = _eval_times(ref.problem.T, Nt_eval)
-    pts, w = mesh_quadrature(mesh)
-    # every slice shares one grid, located once on the reference's own
-    # rectangle; a point outside it raises ValueError
-    cells = _locate_cells(ref.values.shape[1:], ref.problem.L1, ref.problem.L2,
-                          pts[:, 0], pts[:, 1])
-    values = np.empty((Nt_eval + 1, len(w)))
+    times = np.linspace(0.0, ref.problem.T, Nt_eval + 1)
+    pts, _ = mesh_quadrature(mesh)
+    # located once for all times; raises off the reference's rectangle
+    ix, iy, s, r = _locate_cells(ref.values.shape[1:], ref.problem.L1,
+                                 ref.problem.L2, pts[:, 0], pts[:, 1])
+    values = np.empty((Nt_eval + 1, len(pts)))
     for n, t in enumerate(times):
-        values[n] = _bilinear(ref.at_time(t), cells)
-    # one dot product per time, as the errors take; a matrix-vector
-    # product may sum in another order
-    norms = np.array([np.sqrt(max(w @ v**2, 0.0)) for v in values])
-    return values, norms
+        grid = ref.at_time(t)
+        values[n] = ((1 - s) * (1 - r) * grid[iy, ix]
+                     + s * (1 - r) * grid[iy, ix + 1]
+                     + (1 - s) * r * grid[iy + 1, ix]
+                     + s * r * grid[iy + 1, ix + 1])
+    return mesh, values
 
 
 def compute_error_report(solution, ref, mesh: Mesh, Nt_eval: int = 200,
@@ -124,25 +108,27 @@ def compute_error_report(solution, ref, mesh: Mesh, Nt_eval: int = 200,
     evaluation time with all quadrature points, and `ref` a
     ReferenceSolution. `ref_samples` is `sample_reference(ref, mesh,
     Nt_eval)`, read here when not given; pass it to score several solvers
-    from one read. At each of the Nt_eval + 1 evaluation times the spatial
-    L2 error E_n and reference norm R_n are integrated over the mesh;
-    Simpson's rule in time then gives the space-time norms.
+    on `mesh` from one read. At each of the Nt_eval + 1 evaluation times
+    the spatial L2 error E_n and reference norm R_n are integrated over the
+    mesh; Simpson's rule in time then gives the space-time norms.
     """
-    times, wt = _eval_times(ref.problem.T, Nt_eval)
+    times, dt = np.linspace(0.0, ref.problem.T, Nt_eval + 1, retstep=True)
+    wt = simpson_weights(Nt_eval, dt)
     pts, w = mesh_quadrature(mesh)
     x, y = pts[:, 0], pts[:, 1]
-    if ref_samples is None:
-        ref_samples = sample_reference(ref, mesh, Nt_eval)
-    ref_vals, R = ref_samples
-    if ref_vals.shape != (Nt_eval + 1, len(w)):
-        raise ValueError(f"reference samples of shape {ref_vals.shape}, not "
-                         f"{(Nt_eval + 1, len(w))} (times, quadrature points)")
-    E = np.empty(Nt_eval + 1)
+    ref_mesh, ref_vals = (sample_reference(ref, mesh, Nt_eval)
+                          if ref_samples is None else ref_samples)
+    if ref_mesh != mesh or ref_vals.shape != (Nt_eval + 1, len(w)):
+        raise ValueError(f"reference samples of shape {ref_vals.shape} on "
+                         f"{ref_mesh}, not {(Nt_eval + 1, len(w))} (times, "
+                         f"quadrature points) on {mesh}")
+    E, R = np.empty(Nt_eval + 1), np.empty(Nt_eval + 1)
     for n, t in enumerate(times):
         sol_vals = np.asarray(solution(x, y, t), dtype=float)
         # the negative centroid weight can push a tiny squared integral
         # below zero
         E[n] = np.sqrt(max(w @ (sol_vals - ref_vals[n]) ** 2, 0.0))
+        R[n] = np.sqrt(max(w @ ref_vals[n] ** 2, 0.0))
     st = float(np.sqrt(wt @ E**2))
     ref_norm = float(np.sqrt(wt @ R**2))
     # The max-in-time error is normalized by the reference norm at the

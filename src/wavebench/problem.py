@@ -120,7 +120,8 @@ class WaveProblem:
 
         Both solvers impose u = 0 on the boundary, so a nonzero u0 there
         would score them against different problems. The condition is
-        evaluated at 101 points on each edge, corners included.
+        evaluated at 101 points on each edge, corners included, and the
+        mollifier's support disk must lie inside the rectangle exactly.
         """
         s = np.linspace(0.0, 1.0, 101)
         zero, one = np.zeros_like(s), np.ones_like(s)
@@ -136,6 +137,14 @@ class WaveProblem:
             raise ValueError(
                 f"initial condition {self.ic!r} is not zero on the boundary of "
                 f"(0, {self.L1}) x (0, {self.L2}): |u0| reaches {worst:.3g}")
+        if self.ic == "mollifier":
+            x0, y0, R = (self.ic_params.get(k, default) for k, default in
+                         zip(("x0", "y0", "R"), ic_mollifier.__defaults__))
+            # np.min keeps a NaN, so a NaN centre or radius fails too
+            if not 0 < R <= np.min([x0, self.L1 - x0, y0, self.L2 - y0]):
+                raise ValueError(f"the mollifier's support disk (x0={x0}, "
+                                 f"y0={y0}, R={R}) must lie inside the domain:"
+                                 " 0 < R <= min(x0, L1 - x0, y0, L2 - y0)")
 
     def initial_condition(self) -> Callable:
         """Vectorized initial displacement u0(x, y)."""

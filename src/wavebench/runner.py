@@ -87,8 +87,11 @@ class ExperimentConfig:
             raise ValueError(f"snapshot_times {clash} share snapshot file names")
         if self.Nt_eval < 2 or self.Nt_eval % 2:
             raise ValueError("Nt_eval must be even and >= 2")
-        if self.N < 1 or self.m < 1:
-            raise ValueError("N and m must be positive")
+        if self.N < 2:
+            raise ValueError("N must be at least 2: one mode's effective "
+                             "DoF is below 1, which no CN mesh matches")
+        if self.m < 1:
+            raise ValueError("m must be positive")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
 

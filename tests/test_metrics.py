@@ -219,8 +219,8 @@ def test_shared_reference_samples_give_the_same_report():
     mesh = build_structured_mesh(1.0, 1.0, 8, 8)
     sol = lambda x, y, t: base(x, y, t) + 0.1 * x * y
     samples = sample_reference(ref, mesh, Nt_eval=10)
-    assert samples[0].shape == (11, 4 * 2 * 8 * 8)
-    assert samples[1].shape == (11,)
+    assert samples[0] == mesh
+    assert samples[1].shape == (11, 4 * 2 * 8 * 8)
     shared = compute_error_report(sol, ref, mesh, 10, samples)
     own = compute_error_report(sol, ref, mesh, 10)
     assert shared.to_dict() == own.to_dict()
@@ -238,11 +238,15 @@ def test_sample_reference_exact_for_bilinear_in_space_linear_in_time():
                             values)
     mesh = build_structured_mesh(1.0, 1.0, 7, 7)
     pts, w = mesh_quadrature(mesh)
-    got, norms = sample_reference(ref, mesh, Nt_eval=10)
+    samples = sample_reference(ref, mesh, Nt_eval=10)
+    got = samples[1]
+    # a zero field's error is the reference norm, since (0 - v)^2 == v^2
+    zero = compute_error_report(lambda x, y, t: 0.0 * x, ref, mesh, 10,
+                                samples)
     for n, t in enumerate(np.linspace(0, 1, 11)):
         np.testing.assert_allclose(got[n], fn(pts[:, 0], pts[:, 1], t),
                                    rtol=0, atol=1e-14)
-        assert norms[n] == np.sqrt(w @ got[n] ** 2)
+        assert zero.per_snapshot[n] == np.sqrt(w @ got[n] ** 2)
 
 
 def test_report_mesh_outside_the_reference_rectangle_is_rejected():
@@ -261,3 +265,16 @@ def test_report_mesh_outside_the_reference_rectangle_is_rejected():
     inner = build_structured_mesh(0.5, 0.5, 6, 6)
     rep = compute_error_report(sol, ref, inner, 10)
     assert rep.st_rel == pytest.approx(1.0)
+
+
+def test_reference_samples_scored_on_another_mesh_are_rejected():
+    # both meshes have n = 6, so the samples' shape matches the wide mesh;
+    # only the mesh the samples carry tells them apart
+    ref = _toy_reference(lambda x, y, t: (1 + t) * np.sin(np.pi * x)
+                         * np.sin(np.pi * y), nx=16, Nt=16)
+    unit = build_structured_mesh(1.0, 1.0, 6, 6)
+    wide = build_structured_mesh(2.0, 1.0, 6, 6)
+    sol = lambda x, y, t: 0.0 * x
+    with pytest.raises(ValueError, match="reference samples of shape"):
+        compute_error_report(sol, ref, wide, 10,
+                             sample_reference(ref, unit, 10))

@@ -92,9 +92,19 @@ def test_problem_validation():
     (dict(ic="polynomial", ic_params={"R": 0.1}), "takes no ic_params"),
     (dict(ic="single_mode", ic_params={"R": 0.1}), "takes no ic_params"),
     (dict(ic="single_mode", ic_params={"L1": 2.0}), "takes no ic_params"),
+    # the disk crosses x = 0 between two of the 101 edge samples, where
+    # u0(0, 0.505) = 0.264
+    (dict(ic="mollifier", ic_params={"x0": 0.002, "y0": 0.505, "R": 0.004}),
+     "support disk"),
+    # each of these gives an identically zero u0
+    (dict(ic="mollifier", ic_params={"x0": float("nan")}), "support disk"),
+    (dict(ic="mollifier", ic_params={"x0": float("inf")}), "support disk"),
+    (dict(ic="mollifier", ic_params={"x0": 5.0}), "support disk"),
 ], ids=["polynomial_L1", "polynomial_L2", "mollifier_L1", "mollifier_x0",
         "mollifier_R", "mollifier_unknown_param", "polynomial_params",
-        "single_mode_unknown_param", "single_mode_L1_param"])
+        "single_mode_unknown_param", "single_mode_L1_param",
+        "mollifier_crossing_edge", "mollifier_nan_x0", "mollifier_inf_x0",
+        "mollifier_x0_outside"])
 def test_problem_rejects_unusable_initial_condition(kwargs, message):
     with pytest.raises(ValueError, match=message):
         WaveProblem(**kwargs)

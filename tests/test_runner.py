@@ -75,7 +75,9 @@ def test_config_rejects_non_integer_counts(overrides, message):
     ({"ref_ny": 0}, "ref_nx and ref_ny must be at least 2"),
     ({"ref_nx": 1}, "ref_nx and ref_ny must be at least 2"),
     ({"ref_ny": 1}, "ref_nx and ref_ny must be at least 2"),
-], ids=["L1", "c", "ic", "ref_nx", "ref_ny", "ref_nx_1", "ref_ny_1"])
+    # a one-mode fit has effective DoF below 1, which no CN mesh matches
+    ({"N": 1}, "N must be at least 2"),
+], ids=["L1", "c", "ic", "ref_nx", "ref_ny", "ref_nx_1", "ref_ny_1", "N_1"])
 def test_config_rejects_bad_problem_and_grid(overrides, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**overrides)
@@ -301,18 +303,20 @@ def test_emit_snapshots(small_result, tmp_path):
     for path in files:
         assert path.exists() and path.suffix == ".csv"
     assert not list((tmp_path / "snapshots").glob("*.wben"))
-    grid = {}
-    with open(files[0]) as f:
-        for row in csv.DictReader(f):
-            grid[(float(row["x"]), float(row["y"]))] = float(row["value"])
-    xs = sorted({k[0] for k in grid})
-    ys = sorted({k[1] for k in grid})
-    for x in xs:
-        assert grid[(x, ys[0])] == 0.0
-        assert grid[(x, ys[-1])] == 0.0
-    for y in ys:
-        assert grid[(xs[0], y)] == 0.0
-        assert grid[(xs[-1], y)] == 0.0
+    # every method's every snapshot is zero on the boundary
+    for path in files:
+        grid = {}
+        with open(path) as f:
+            for row in csv.DictReader(f):
+                grid[(float(row["x"]), float(row["y"]))] = float(row["value"])
+        xs = sorted({k[0] for k in grid})
+        ys = sorted({k[1] for k in grid})
+        for x in xs:
+            assert grid[(x, ys[0])] == 0.0, path.name
+            assert grid[(x, ys[-1])] == 0.0, path.name
+        for y in ys:
+            assert grid[(xs[0], y)] == 0.0, path.name
+            assert grid[(xs[-1], y)] == 0.0, path.name
 
 
 def test_snapshot_file_layout(tmp_path):
@@ -424,11 +428,30 @@ def test_cli_requires_subcommand(capsys):
     (["benchmark", "--config", "{tmp}/config.json"],
      '{"N": 4, "m": 120, "ref_nx": 1, "ref_ny": 1, "Nt_eval": 10}',
      "ref_nx and ref_ny must be at least 2"),
+    (["fit", "--config", "{tmp}/config.json"], '{"N": 1}',
+     "N must be at least 2"),
+    (["benchmark", "--config", "{tmp}/config.json"],
+     '{"N": 1, "m": 50, "ref_nx": 16, "ref_ny": 16, "Nt_eval": 10}',
+     "N must be at least 2"),
+    (["fit", "--config", "{tmp}/config.json"],
+     '{"ic": "mollifier", "ic_params": {"x0": 0.002, "y0": 0.505, "R": 0.004}}',
+     "support disk"),
+    (["benchmark", "--config", "{tmp}/config.json"],
+     '{"ic": "mollifier", "ic_params": {"x0": NaN}, "ref_nx": 16, '
+     '"ref_ny": 16, "Nt_eval": 10}',
+     "support disk"),
+    (["fit", "--config", "{tmp}/config.json"],
+     '{"ic": "mollifier", "ic_params": {"x0": Infinity}}', "support disk"),
+    (["fit", "--config", "{tmp}/config.json"],
+     '{"ic": "mollifier", "ic_params": {"x0": 5.0}}', "support disk"),
 ], ids=["match_0", "negative_seed", "float_N_config", "no_solve",
         "config_not_object", "snapshot_times_not_list", "string_paper_update",
         "int_ic_params", "string_T", "bool_N", "string_dt_ref", "match_T_nan",
         "match_T_inf", "nan_dt_ref", "custom_ic", "int_output_dir",
-        "null_output_dir", "one_cell_reference"])
+        "null_output_dir", "one_cell_reference", "one_mode_fit",
+        "one_mode_benchmark", "mollifier_crossing_edge",
+        "mollifier_nan_centre", "mollifier_inf_centre",
+        "mollifier_centre_outside"])
 def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys):
     (tmp_path / "config.json").write_text(config)
     with pytest.raises(SystemExit) as exc:
