@@ -90,13 +90,13 @@ def sample_reference(ref, mesh: Mesh, Nt_eval: int = 200):
     # located once for all times; raises off the reference's rectangle
     ix, iy, s, r = _locate_cells(ref.values.shape[1:], ref.problem.L1,
                                  ref.problem.L2, pts[:, 0], pts[:, 1])
+    W = ref.values.shape[2]
+    corners = iy * W + ix + np.array([[0], [1], [W], [W + 1]])
+    weights = np.array([(1 - s) * (1 - r), s * (1 - r), (1 - s) * r, s * r])
     values = np.empty((Nt_eval + 1, len(pts)))
     for n, t in enumerate(times):
-        grid = ref.at_time(t)
-        values[n] = ((1 - s) * (1 - r) * grid[iy, ix]
-                     + s * (1 - r) * grid[iy, ix + 1]
-                     + (1 - s) * r * grid[iy + 1, ix]
-                     + s * r * grid[iy + 1, ix + 1])
+        np.einsum("kp,kp->p", ref.at_time(t).reshape(-1)[corners], weights,
+                  out=values[n])
     return mesh, values
 
 

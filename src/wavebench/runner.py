@@ -157,7 +157,8 @@ class BenchmarkResult:
             "lambda": self.model.lam,
             "edof": self.model.edof,
             "fit": {k: self.model.diagnostics[k] for k in
-                    ("factor", "ev_ratio", "lambda_at_grid_edge")},
+                    ("factor", "ev_ratio", "lambda_at_grid_edge",
+                     "design_s", "factor_s", "gcv_s")},
             "match": asdict(self.match),
             "cn_stats": dict(self.trajectory.stats),
             "bepgp": self.ep_report.to_dict(),

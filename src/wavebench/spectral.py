@@ -10,11 +10,12 @@ route: the product-to-sum identity sin a sin b = (cos(a - b) - cos(a + b)) / 2
 turns Phi^T Phi into a gather from the (2N+1)^2 cosine moments of the
 samples, and Phi^T u into a product of the two m x N sine tables. As in
 Elden (BIT 24, 1984), who evaluates GCV after one bidiagonal reduction, one
-tridiagonal reduction Phi^T Phi = Q T Q^T serves the whole GCV search and
-forms no eigenvector: T's eigenvalues give the singular values and so the
-effective DoF, residuals and weights come from solves with T + lambda I,
-and Q is applied to two vectors. Designs with cond(Phi) above 1e3 are
-formed and factored by a direct SVD, a diagonal T for the same formulas.
+tridiagonal reduction Phi^T Phi = Q T Q^T, from the one Gram triangle it
+reads, serves the whole GCV search and forms no eigenvector or spectrum:
+the LDL^T pivots of T + lambda I give the effective DoF (Meurant, SIAM J.
+Matrix Anal. Appl. 13, 1992), solves with it the residuals and weights,
+and Q is applied to two vectors. Designs with cond(Phi) above 1e3 take a
+direct SVD, a diagonal T on the directions above round-off.
 
 Weight / column order: (j, k) lexicographic with j outer, i.e. column
 (j-1)*N + (k-1) holds mode (j, k).
@@ -25,12 +26,13 @@ from __future__ import annotations
 import json
 import logging
 import mmap
+import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 __all__ = [
     "SpectralBasis",
@@ -116,7 +118,13 @@ class DesignMatrix:
         return (self.sx[:, :, None] * self.sy[:, None, :]).reshape(self.shape)
 
     def gram(self) -> np.ndarray:
-        """Phi^T Phi from the cosine moments, without forming Phi.
+        """Phi^T Phi, both triangles: `_gram_upper` mirrored."""
+        G = self._gram_upper()
+        return np.triu(G) + np.triu(G, 1).T
+
+    def _gram_upper(self) -> np.ndarray:
+        """The blocks (j, j') with j <= j' of Phi^T Phi, zeros below them:
+        the triangle that dsytrd(G.T, lower=1) reads, without forming Phi.
 
         Applying sin a sin b = (cos(a - b) - cos(a + b)) / 2 in each
         direction gives G[(j,k),(j',k')] = (M[|j-j'|,|k-k'|] - M[|j-j'|,k+k']
@@ -133,8 +141,8 @@ class DesignMatrix:
         G = np.frombuffer(mmap.mmap(-1, 8 * N**4)).reshape(N * N, N * N)
         rows = G.reshape(N, N, N, N)                # [j, k, j', k']
         for jj in range(N):          # a block row at a time: no N^4 temporaries
-            np.subtract(Mk[diff[jj]], Mk[add[jj]],
-                        out=rows[jj].transpose(1, 0, 2))
+            np.subtract(Mk[diff[jj, jj:]], Mk[add[jj, jj:]],
+                        out=rows[jj, :, jj:].transpose(1, 0, 2))
         return G
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
@@ -178,6 +186,8 @@ def build_design_matrix(points: np.ndarray, basis: SpectralBasis) -> DesignMatri
 
 def _tri_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve T x = rhs for the positive definite tridiagonal T = (d, e)."""
+    if not rhs.size:                    # a zero design keeps no direction
+        return rhs
     *_, x, info = lapack.dptsv(d, e, rhs[:, None])
     if info:
         raise np.linalg.LinAlgError("ridge system is not positive definite")
@@ -188,14 +198,13 @@ def _tri_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class RidgeSVD:
     """Ridge fit of one observation vector u to an m x n design Phi.
 
-    Phi^T Phi = Q T Q^T with Q orthogonal and T symmetric tridiagonal
-    (diagonal d, off-diagonal e); s are the singular values of Phi. The fit
-    keeps c = Q^T Phi^T u and the squared norm of u outside col(Phi),
-    u^T u - c^T T^-1 c, so each ridge parameter costs tridiagonal solves;
-    `q` (y -> Q y) is applied only to form the weights.
+    Phi^T Phi = Q T Q^T on its r directions above round-off, with T
+    tridiagonal (diagonal d, off-diagonal e) and `ev_ratio` = cond(T), None
+    if r < n. The fit keeps c = Q^T Phi^T u and the squared norm of u outside
+    col(Phi), u^T u - c^T T^-1 c, so each ridge parameter costs tridiagonal
+    solves; `q` (y -> Q y) is applied only to form the weights.
     """
 
-    s: np.ndarray
     d: np.ndarray
     e: np.ndarray
     c: np.ndarray
@@ -203,12 +212,17 @@ class RidgeSVD:
     shape: tuple
     q: Callable
     factor: str                      # "tridiagonal" or "svd"
+    ev_ratio: float | None
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Singular values above round-off, descending; unread by the fit."""
+        return np.sqrt(lapack.dsterf(self.d, self.e)[0][::-1])
 
     def coefficients(self, lam: float) -> np.ndarray:
         if lam < 0:
             raise ValueError("ridge parameter must be nonnegative")
-        tol = max(self.shape) * np.finfo(float).eps * self.s[0]
-        if lam == 0 and self.s[-1] <= tol:
+        if lam == 0 and self.d.size < min(self.shape):
             raise np.linalg.LinAlgError(
                 "design matrix is rank deficient; a positive ridge parameter "
                 "is required")
@@ -222,10 +236,14 @@ class RidgeSVD:
         return max(self.out_of_range, 0.0) + shrunk
 
     def edof(self, lam: float) -> float:
-        """Trace of the hat matrix, sum of s_i^2 / (s_i^2 + lam)."""
+        """Trace of the hat matrix, r - lam sum_i 1 / (D+_i + D-_i - d_i - lam)
+        with D+, D- the top-down, bottom-up LDL^T pivots of T + lam I."""
         if lam < 0:
             raise ValueError("ridge parameter must be nonnegative")
-        return float(np.sum(self.s**2 / (self.s**2 + lam)))
+        a = self.d + lam
+        down = lapack.dpttrf(a, self.e)[0]
+        up = lapack.dpttrf(a[::-1], self.e[::-1])[0][::-1]
+        return float(self.d.size - lam * np.sum(1.0 / (down + up - a)))
 
     def gcv(self, lam: float) -> float:
         """GCV(lam) = ||u - Phi w_lam||^2 / (m - tr(H_lam))^2."""
@@ -235,17 +253,18 @@ class RidgeSVD:
 
 
 def _reduce_gram(G: np.ndarray, b: np.ndarray):
-    """(s, d, e, Q^T b, y -> Q y) from LAPACK's dsytrd of G = Phi^T Phi in
-    G's own buffer, or None past `_GRAM_MAX_EV_RATIO`."""
+    """(d, e, Q^T b, y -> Q y, cond(T)) from LAPACK's dsytrd of G's upper
+    triangle in G's own buffer, or None past `_GRAM_MAX_EV_RATIO`."""
     n = G.shape[0]
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
     # G is symmetric, so G.T is a Fortran-order view that dsytrd overwrites
     A, d, e, tau, _ = lapack.dsytrd(G.T, lower=1, lwork=lwork, overwrite_a=1)
+    lo, hi = (eigvalsh_tridiagonal(d, e[:n - 1], select="i", select_range=(i, i),
+                                   lapack_driver="stebz")[0] for i in (0, n - 1))
+    if not (lo > 0 and hi <= _GRAM_MAX_EV_RATIO * lo):
+        return None
     # the LAPACK wrappers want an off-diagonal of length >= 1, also at n = 1
     e = np.append(e, 0.0)[:max(n - 1, 1)]
-    ev = lapack.dsterf(d, e)[0]                         # ascending
-    if not (ev[0] > 0 and ev[-1] <= _GRAM_MAX_EV_RATIO * ev[0]):
-        return None
     # Q = diag(1, Q'); dormqr takes Q' as dormtr passes it: rows 2..n of A
     # as a Fortran view with lda = n (A[1:, :-1] is copied on every call)
     refl = A.ravel(order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
@@ -255,19 +274,19 @@ def _reduce_gram(G: np.ndarray, b: np.ndarray):
         if n > 1:    # no empty reflector block; lwork = 1: unblocked, no query
             out[1:] = lapack.dormqr("L", trans, refl, tau, v[1:, None], 1)[0][:, 0]
         return out
-    return np.sqrt(ev[::-1]), d, e, qmul(b, "T"), lambda y: qmul(y, "N")
+    return d, e, qmul(b, "T"), lambda y: qmul(y, "N"), float(hi / lo)
 
 
 def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray) -> RidgeSVD:
     """Factor the design Phi and project the observations u onto it, once.
 
     A tall Phi with cond(Phi) <= 1e3 takes one tridiagonal reduction of
-    Phi^T Phi; any other takes `np.linalg.svd`: T = diag(s^2), Q = V, and
-    directions with s at round-off level get c = 0 and a unit pivot. A plain
-    array stands in for a `DesignMatrix` through A^T A and A^T u.
+    Phi^T Phi; any other takes `np.linalg.svd`: T = diag(s^2) and Q = V on
+    the directions with s above round-off. A plain array stands in for a
+    `DesignMatrix` through A^T A and A^T u.
     """
     if isinstance(Phi, DesignMatrix):
-        tables, gram, rmatvec = (Phi.sx, Phi.sy), Phi.gram, Phi.rmatvec
+        tables, gram, rmatvec = (Phi.sx, Phi.sy), Phi._gram_upper, Phi.rmatvec
         dense = lambda: Phi.values
     else:
         Phi = np.asarray(Phi, dtype=float)
@@ -282,17 +301,18 @@ def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray) -> RidgeSVD:
     b = rmatvec(u)
     reduced = _reduce_gram(gram(), b) if m >= n else None
     if reduced is not None:
-        (s, d, e, c, q), factor = reduced, "tridiagonal"
+        (d, e, c, q, ratio), factor = reduced, "tridiagonal"
     else:
         log.warning("ridge fit of a %dx%d design takes the SVD route: %s", m, n,
                     "wide design" if m < n else
                     f"eigenvalue ratio above {_GRAM_MAX_EV_RATIO:g}")
         _, s, Vt = np.linalg.svd(dense(), full_matrices=False)
-        keep = s > max(m, n) * np.finfo(float).eps * s[0]
-        c, d = np.where(keep, Vt @ b, 0.0), np.where(keep, s**2, 1.0)
-        e, q, factor = np.zeros(max(s.size - 1, 1)), Vt.T.__matmul__, "svd"
+        Vt = Vt[s > max(m, n) * np.finfo(float).eps * s[0]]
+        d, c, e = s[:len(Vt)] ** 2, Vt @ b, np.zeros(max(len(Vt) - 1, 1))
+        q, factor = Vt.T.__matmul__, "svd"
+        ratio = float(d[0] / d[-1]) if d.size == n else None
     out_of_range = float(u @ u - c @ _tri_solve(d, e, c))
-    return RidgeSVD(s, d, e, c, out_of_range, (m, n), q, factor)
+    return RidgeSVD(d, e, c, out_of_range, (m, n), q, factor, ratio)
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -400,31 +420,35 @@ def fit_spectral_model(problem, N: int, m: int, seed: int = 0) -> SpectralModel:
 
     The ridge parameter is searched over `default_lambda_grid()`. The
     diagnostics name the factorization, the eigenvalue ratio of Phi^T Phi
-    (None if singular) and whether the grid's GCV minimum is at its end.
+    (None if singular), whether the grid's GCV minimum is at its end, and
+    the seconds of `design_s`, `factor_s` (`ridge_fit_svd`) and `gcv_s`.
     """
+    t0 = time.perf_counter()
     basis = SpectralBasis(N, problem.L1, problem.L2, problem.c)
     pts = lhs_sample(m, problem.L1, problem.L2, seed=seed)
     Phi = build_design_matrix(pts, basis)
     u = np.asarray(problem.initial_condition()(pts[:, 0], pts[:, 1]), dtype=float)
+    t1 = time.perf_counter()
     fit = ridge_fit_svd(Phi, u)
+    t2 = time.perf_counter()
     grid = default_lambda_grid()
     lam, edof, score = select_lambda_gcv(fit, grid)
-    with np.errstate(all="ignore"):
-        ratio = (fit.s[0] / fit.s[-1]) ** 2 if fit.s.size == N * N else np.inf
     # the refinement stays within a grid step of the grid minimizer, and
     # grid ties go to the larger value, so the end intervals tell
     edge = bool((lam < grid[1] and fit.gcv(grid[0]) < fit.gcv(grid[1]))
                 or (lam > grid[-2] and fit.gcv(grid[-1]) <= fit.gcv(grid[-2])))
+    weights = fit.coefficients(lam)
     diagnostics = {
         "seed": seed,
         "m": m,
         "gcv_score": score,
         "residual_norm": float(np.sqrt(fit.rss(lam))),
         "factor": fit.factor,
-        "ev_ratio": float(ratio) if np.isfinite(ratio) else None,
+        "ev_ratio": fit.ev_ratio,
         "lambda_at_grid_edge": edge,
+        "design_s": t1 - t0, "factor_s": t2 - t1, "gcv_s": time.perf_counter() - t2,
     }
-    return SpectralModel(basis, fit.coefficients(lam), lam, edof, diagnostics)
+    return SpectralModel(basis, weights, lam, edof, diagnostics)
 
 
 def predict(model: SpectralModel, x, y, t: float):

@@ -482,6 +482,17 @@ def test_report_records_the_fit_route(tmp_path):
     assert doc["fit"]["lambda_at_grid_edge"] is False
 
 
+def test_report_records_the_fit_stages(tmp_path):
+    config = _small_config(tmp_path, N=4, m=120, ref_nx=16, ref_ny=16,
+                           Nt_eval=10)
+    result = run_benchmark(config)
+    doc = json.loads((tmp_path / "report_polynomial.json").read_text())
+    stages = [doc["fit"][k] for k in ("design_s", "factor_s", "gcv_s")]
+    assert all(v >= 0 for v in stages)
+    assert sum(stages) <= doc["fit_seconds"]
+    assert "design_s" not in json.loads(result.model.to_json())
+
+
 def test_cli_snapshots_skip_the_error_reports(tmp_path, monkeypatch):
     config = _small_config(tmp_path, N=4, m=120, ref_nx=16, ref_ny=16,
                            Nt_eval=10, snapshot_times=[0.0, 0.5])

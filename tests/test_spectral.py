@@ -6,7 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+from wavebench import spectral
 from wavebench.mesh import build_structured_mesh
 from wavebench.metrics import mesh_quadrature
 from wavebench.problem import WaveProblem, single_mode_solution
@@ -202,6 +204,27 @@ def test_ridge_zero_lambda_rank_deficient_raises():
     fit = ridge_fit_svd(A, u)
     with pytest.raises(np.linalg.LinAlgError):
         fit.coefficients(0.0)
+
+
+@pytest.mark.parametrize("kind", ["rank_one", "zero", "wide"])
+def test_svd_route_edof_matches_dense_hat_matrix(kind):
+    # the SVD route keeps only the directions above round-off, so the pivot
+    # trace counts each kept direction and nothing else (none for a zero
+    # design, whose weights are zero)
+    A = {"rank_one": np.ones((10, 3)), "zero": np.zeros((10, 3)),
+         "wide": build_design_matrix(lhs_sample(20, 1.0, 1.0, seed=0),
+                                     SpectralBasis(6)).values}[kind]
+    fit = ridge_fit_svd(A, np.random.default_rng(3).standard_normal(len(A)))
+    assert fit.factor == "svd"
+    n = A.shape[1]
+    for lam in default_lambda_grid():
+        H = A @ np.linalg.solve(A.T @ A + lam * np.eye(n), A.T)
+        assert fit.edof(lam) == pytest.approx(np.trace(H), rel=1e-10)
+    if kind != "wide":
+        with pytest.raises(np.linalg.LinAlgError):
+            fit.coefficients(0.0)
+    if kind == "zero":
+        assert np.all(fit.coefficients(1e-3) == 0.0)
 
 
 def test_ridge_validation():
@@ -562,15 +585,27 @@ def test_tridiagonal_route_matches_dense_svd_and_normal_equations():
 
 def test_desk_fit_forms_no_eigenvectors(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the Gram route called a dense eigen/SVD solver")
+        raise AssertionError("the Gram route called a dense eigen/SVD solver "
+                             "or formed the whole spectrum")
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(lapack, "dsterf", forbidden)
+    fits = []
+    monkeypatch.setattr(spectral, "ridge_fit_svd",
+                        lambda *a: fits.append(ridge_fit_svd(*a)) or fits[-1])
     model = fit_spectral_model(WaveProblem(ic="polynomial"), 40, 5000, seed=0)
     d = model.diagnostics
     assert d["factor"] == "tridiagonal"
     assert 1.0 < d["ev_ratio"] < 1e6
     assert d["lambda_at_grid_edge"] is False
     assert float(predict(model, 0.5, 0.5, 0.0)) == pytest.approx(1 / 16, rel=1e-4)
+    # the pivot trace against the spectrum, formed only now that it is read
+    monkeypatch.undo()
+    s2 = fits[0].s ** 2
+    assert s2.size == 1600
+    for lam in default_lambda_grid():
+        assert fits[0].edof(lam) == pytest.approx(np.sum(s2 / (s2 + lam)),
+                                                  rel=1e-12)
 
 
 def test_wide_design_reports_svd(caplog):
