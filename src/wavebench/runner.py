@@ -9,14 +9,18 @@ and a JSON document; snapshot grids can be exported for plotting.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import numbers
+import os
+import sys
 import time
 from dataclasses import dataclass, field, asdict, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import fem, metrics, reference, spectral
 from .dof_matching import MatchResult, match_cn_to_dof
@@ -169,7 +173,22 @@ class BenchmarkResult:
             "solve_seconds": self.solve_seconds,
             "reference": self.reference,
             "timings": self.timings,
+            "environment": environment(),
         }
+
+
+@functools.cache
+def environment() -> dict:
+    """Versions, numpy's and scipy's BLAS, CPUs and OPENBLAS_NUM_THREADS."""
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    env = {"python": sys.version.split()[0], "numpy": np.__version__,
+           "scipy": scipy.__version__, "cpu_count": len(cpus),
+           "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+    for lib in (np, scipy):
+        info = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        env[f"{lib.__name__}_blas"] = {k: info.get(k) for k in ("name", "version")}
+    return env
 
 
 def _time_label(t) -> str:
@@ -242,7 +261,8 @@ def run_benchmark(config: ExperimentConfig, ref=None,
         improvement_linf=cn_report.linf_l2 / ep_report.linf_l2,
         fit_seconds=fit_s, solve_seconds=solve_s,
         reference={"nx": ref.grid_nx, "ny": ref.grid_ny, "Nt": ref.Nt_ref,
-                   "cache": ref.cache, "load_s": ref.load_s},
+                   "cache": ref.cache, "load_s": ref.load_s,
+                   "solver": reference._solver_fingerprint()},
         timings={"reference_s": t_ref - t0,
                  "reference_read_s": t_read - t_solved,
                  "bepgp_report_s": t_ep - t_read,

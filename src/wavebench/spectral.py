@@ -15,7 +15,10 @@ reads, serves the whole GCV search and forms no eigenvector or spectrum:
 the LDL^T pivots of T + lambda I give the effective DoF (Meurant, SIAM J.
 Matrix Anal. Appl. 13, 1992), solves with it the residuals and weights,
 and Q is applied to two vectors. Designs with cond(Phi) above 1e3 take a
-direct SVD, a diagonal T on the directions above round-off.
+direct SVD, a diagonal T on the directions above round-off. Every threaded
+BLAS call of the fit runs on scipy's OpenBLAS, next to dsytrd: numpy brings
+its own OpenBLAS, whose worker spins about 0.1 s after each threaded call,
+and a numpy product right after dsytrd waited for it (36 ms median, not 2).
 
 Weight / column order: (j, k) lexicographic with j outer, i.e. column
 (j-1)*N + (k-1) holds mode (j, k).
@@ -32,7 +35,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, lapack
+from scipy.linalg import blas, eigvalsh_tridiagonal, lapack
 
 __all__ = [
     "SpectralBasis",
@@ -147,7 +150,7 @@ class DesignMatrix:
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         """Phi^T u = vec(sx^T diag(u) sy), without forming Phi."""
-        return ((self.sx.T * u) @ self.sy).ravel()
+        return blas.dgemm(1.0, self.sx.T * u, self.sy.T, trans_b=1).ravel()
 
 
 def lhs_sample(m: int, L1: float, L2: float, seed: int = 0) -> np.ndarray:
@@ -181,7 +184,7 @@ def build_design_matrix(points: np.ndarray, basis: SpectralBasis) -> DesignMatri
     cy = np.cos(np.multiply.outer(y / basis.L2, d))
     return DesignMatrix(_sine_table(x, basis.N, basis.L1),   # (m, N), j index
                         _sine_table(y, basis.N, basis.L2),   # (m, N), k index
-                        cx.T @ cy)
+                        blas.dgemm(1.0, cx.T, cy.T, trans_b=1))  # Fortran views
 
 
 def _tri_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -290,7 +293,9 @@ def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray) -> RidgeSVD:
         dense = lambda: Phi.values
     else:
         Phi = np.asarray(Phi, dtype=float)
-        tables, gram, rmatvec = (Phi,), lambda: Phi.T @ Phi, lambda v: Phi.T @ v
+        # dsyrk's lower triangle, transposed: `_gram_upper`'s C-order layout
+        tables, gram = (Phi,), lambda: blas.dsyrk(1.0, Phi.T, lower=1).T
+        rmatvec = lambda v: blas.dgemv(1.0, Phi.T, v)
         dense = lambda: Phi
     u = np.asarray(u, dtype=float)
     if not (all(np.all(np.isfinite(t)) for t in tables) and np.all(np.isfinite(u))):

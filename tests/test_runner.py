@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from wavebench import cli, metrics, reference, runner, spectral
 from wavebench.mesh import build_structured_mesh
@@ -137,6 +139,22 @@ def test_benchmark_reports_are_written(small_result):
     doc = json.loads((out / "report_polynomial.json").read_text())
     assert doc["match"]["n"] == result.match.n
     assert doc["bepgp"]["st_rel"] == result.ep_report.st_rel
+
+
+def test_report_records_its_environment(small_result):
+    config, _ = small_result
+    doc = json.loads((Path(config.output_dir) / "report_polynomial.json")
+                     .read_text())
+    env = doc["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "numpy_blas", "scipy_blas",
+                        "cpu_count", "openblas_num_threads"}
+    assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+    for lib in ("numpy_blas", "scipy_blas"):
+        assert set(env[lib]) == {"name", "version"} and env[lib]["name"]
+    assert env["cpu_count"] >= 1
+    assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert runner.environment() is runner.environment()     # read once
+    assert doc["reference"]["solver"] == reference._solver_fingerprint()
 
 
 def test_benchmark_csv_layout(small_result):

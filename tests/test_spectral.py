@@ -140,6 +140,18 @@ def test_design_gram_and_rmatvec_match_dense(N, kind):
     assert np.max(np.abs(b - b_ref)) <= 1e-13 * np.max(np.abs(b_ref))
 
 
+@pytest.mark.parametrize("L1,L2", [(1.0, 1.0), (1.3, 0.7)])
+def test_design_moments_match_the_cosine_product(L1, L2):
+    N = 8
+    pts = lhs_sample(500, L1, L2, seed=12)
+    d = np.pi * np.arange(2 * N + 1)
+    M_ref = (np.cos(np.multiply.outer(pts[:, 0] / L1, d)).T
+             @ np.cos(np.multiply.outer(pts[:, 1] / L2, d)))
+    M = build_design_matrix(pts, SpectralBasis(N, L1, L2)).moments
+    assert M.shape == (2 * N + 1, 2 * N + 1)
+    assert np.max(np.abs(M - M_ref)) <= 1e-13 * np.max(np.abs(M_ref))
+
+
 def test_ridge_design_matrix_matches_array():
     pts = lhs_sample(300, 1.0, 1.0, seed=4)
     Phi = build_design_matrix(pts, SpectralBasis(8))
@@ -606,6 +618,25 @@ def test_desk_fit_forms_no_eigenvectors(monkeypatch):
     for lam in default_lambda_grid():
         assert fits[0].edof(lam) == pytest.approx(np.sum(s2 / (s2 + lam)),
                                                   rel=1e-12)
+
+
+def test_desk_fit_runs_its_products_on_scipys_blas(monkeypatch):
+    # numpy and scipy each load their own OpenBLAS with its own thread pool,
+    # whose worker spins for about 0.1 s after a threaded call; a numpy
+    # product next to scipy's dsytrd stalls on the other pool's worker, so
+    # the fit's two products go through scipy's dgemm
+    shapes = []
+    dgemm = spectral.blas.dgemm
+
+    def recorded(alpha, a, b, *args, **kwargs):
+        assert a.flags.f_contiguous and b.flags.f_contiguous   # not copied
+        out = dgemm(alpha, a, b, *args, **kwargs)
+        shapes.append((a.shape, b.shape, out.shape))
+        return out
+    monkeypatch.setattr(spectral.blas, "dgemm", recorded)
+    fit_spectral_model(WaveProblem(ic="polynomial"), 40, 5000, seed=0)
+    assert sorted(shapes) == [((40, 5000), (40, 5000), (40, 40)),
+                              ((81, 5000), (81, 5000), (81, 81))]
 
 
 def test_wide_design_reports_svd(caplog):
