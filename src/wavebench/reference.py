@@ -18,6 +18,7 @@ the writer renames its temporary file onto the cache path only then.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import json
@@ -48,6 +49,12 @@ log = logging.getLogger("wavebench")
 MAGIC = b"WBEN"
 VERSION = 3
 _HEADER = struct.Struct("<4sIIII5d")       # magic, ver, nx, ny, Nt, 5 doubles
+
+try:                    # glibc only; other C libraries have no such call
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):    # pragma: no cover
+    _malloc_trim = None
 
 
 def _trailer(header: bytes, leaves) -> bytes:
@@ -192,7 +199,9 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
     With `cache_dir` set, an existing valid cache file is loaded instead of
     recomputing; a missing file is built, and a corrupt one regenerated
     with a warning on the `wavebench` logger. The result's `cache` says
-    which of these happened. The solve streams each time level to disk.
+    which of these happened. The solve streams each time level to disk,
+    and a build logs its progress with an ETA on the `wavebench` logger at
+    INFO, about every tenth of its levels.
     """
     Nt_ref = step_count(problem.T, dt_ref)
     path = None
@@ -216,10 +225,24 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
     u0 = interior_values(problem.initial_condition(), mesh)
 
     def slices():
+        t0 = time.perf_counter()
+        every = max(Nt_ref // 10, 1)
         steps = cn_steps(sys, u0, dt_ref)
-        for _ in range(Nt_ref + 1):
+        for k in range(Nt_ref + 1):
             yield mesh.full_grid(next(steps))
+            if k and (k % every == 0 or k == Nt_ref):
+                elapsed = time.perf_counter() - t0
+                log.info("reference %dx%d: level %d of %d, %.1f s, ETA %.1f s",
+                         ref_nx, ref_ny, k, Nt_ref, elapsed,
+                         elapsed * (Nt_ref - k) / k)
         steps.close()
+        if _malloc_trim is not None:
+            # SuperLU sizes its work arrays from nnz(A), and once glibc's
+            # mmap threshold has risen they come from a heap it does not
+            # trim. The next build's factor, half or full size, would place
+            # its own elsewhere and keep both sets of pages resident (+5 MB
+            # peak over 100 x 100 polynomial and mollifier builds).
+            _malloc_trim(0)
 
     if path is None:
         values = np.empty((Nt_ref + 1, ref_ny + 1, ref_nx + 1))

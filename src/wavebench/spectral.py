@@ -301,6 +301,9 @@ def ridge_fit_svd(Phi: DesignMatrix | np.ndarray, u: np.ndarray) -> RidgeSVD:
     if not (all(np.all(np.isfinite(t)) for t in tables) and np.all(np.isfinite(u))):
         raise ValueError("non-finite entries in the ridge system")
     m, n = Phi.shape
+    if m == 0 or n == 0:
+        raise ValueError(f"empty {m}x{n} design: need at least one sample "
+                         "and one basis function")
     if u.shape != (m,):
         raise ValueError("observation vector length does not match the design")
     b = rmatvec(u)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from wavebench import fem
 from wavebench.mesh import build_structured_mesh
 from wavebench.fem import (FemSystem, interior_values, cn_steps, cn_solve,
                            discrete_energy, p1_interpolate, _mass_solve,
@@ -264,16 +265,18 @@ _ORACLE_MESHES = {"": (24, 24, 1.0), "-24x17": (24, 17, 1.0),
                   "-40x3": (40, 3, 1.0), "-c10": (24, 24, 10.0)}
 
 
-@pytest.mark.parametrize("paper_update, nx, ny, c", [
-    pytest.param(update, *mesh, id=f"{update}{tag}")
+@pytest.mark.parametrize("paper_update, nx, ny, c, ic", [
+    pytest.param(update, *mesh, ic, id=f"{update}{tag}{suffix}")
+    for ic, suffix in (("mollifier", ""), ("polynomial", "-polynomial"))
     for tag, mesh in _ORACLE_MESHES.items() for update in (False, True)])
-def test_cn_solve_matches_spsolve_oracle(paper_update, nx, ny, c):
+def test_cn_solve_matches_spsolve_oracle(paper_update, nx, ny, c, ic):
     # each level from scratch with a direct solve in natural order and the
     # two-product right-hand side: a wrong permutation or a stale factor in
-    # the stepping path would show at the first step
+    # the stepping path would show at the first step. The polynomial steps
+    # on the even half (odd and even interior counts), the mollifier on all.
     mesh = build_structured_mesh(1.0, 1.0, nx, ny)
     sys = FemSystem.build(mesh, c)
-    u0 = interior_values(WaveProblem(ic="mollifier").initial_condition(), mesh)
+    u0 = interior_values(WaveProblem(ic=ic).initial_condition(), mesh)
     dt, Nt = 1.0 / 48, 48
     traj = cn_solve(sys, u0, dt, Nt, paper_update)
     a = c**2 * dt**2 / 2.0
@@ -289,6 +292,83 @@ def test_cn_solve_matches_spsolve_oracle(paper_update, nx, ny, c):
     expect = np.array(levels)
     np.testing.assert_allclose(traj.snapshots, expect, rtol=0,
                                atol=1e-12 * np.max(np.abs(expect)))
+
+
+# ---------------------------------------------------------------------------
+# the half-size path for starts that are even under the point reflection
+
+@pytest.fixture
+def factored(monkeypatch):
+    """(unknowns, factor nonzeros) of every factorization `cn_steps` makes."""
+    calls, splu = [], fem.spla.splu
+
+    def record(A, **kwargs):
+        lu = splu(A, **kwargs)
+        calls.append((A.shape[0], lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(fem.spla, "splu", record)
+    return calls
+
+
+@pytest.mark.parametrize("nx, ny, L1, L2", [(4, 4, 1.0, 1.0), (5, 5, 1.0, 1.0),
+                                            (5, 4, 1.3, 0.7), (4, 7, 1.0, 1.0)])
+def test_reflection_commutes_with_mass_and_stiffness(nx, ny, L1, L2):
+    # (x, y) -> (L1 - x, L2 - y) reverses the unknown vector
+    sys = FemSystem.build(build_structured_mesh(L1, L2, nx, ny), 1.0)
+    n = sys.M.shape[0]
+    J = np.eye(n)[::-1]
+    for B in (sys.M.toarray(), sys.K.toarray()):
+        np.testing.assert_array_equal(J @ B, B @ J)
+    assert fem._point_symmetric(sys, np.ones(n))
+
+
+def _run(sys, u0, paper_update=False):
+    traj = cn_solve(sys, u0, 0.05, 4, paper_update)
+    assert traj.stats["factorizations"] == 1
+    return traj
+
+
+@pytest.mark.parametrize("n", [8, 9])         # 49 and 64 unknowns
+@pytest.mark.parametrize("ic", ["polynomial", "single_mode", "mollifier"])
+def test_even_starts_factor_half_the_unknowns(n, ic, factored):
+    mesh, sys = _system(n)
+    u0 = interior_values(WaveProblem(ic=ic).initial_condition(), mesh)
+    for paper_update in (False, True):
+        traj = _run(sys, u0, paper_update)
+        np.testing.assert_array_equal(traj.snapshots[0], u0)
+    size = (u0.size + 1) // 2 if ic != "mollifier" else u0.size
+    assert [k for k, _ in factored] == [size, size]
+
+
+def test_asymmetric_system_steps_on_every_unknown(factored):
+    mesh, sys = _system(8)
+    M = sys.M.tolil()
+    M[0, 0] *= 1.01
+    skew = FemSystem(M.tocsr(), sys.K, mesh, sys.c)
+    _run(skew, interior_values(WaveProblem().initial_condition(), mesh))
+    assert [k for k, _ in factored] == [sys.M.shape[0]]
+
+
+@pytest.mark.parametrize("scale, half", [(0.75, True), (1.25, False)])
+def test_odd_part_past_round_off_takes_the_full_path(scale, half, factored):
+    mesh, sys = _system(8)
+    v = interior_values(WaveProblem().initial_condition(), mesh)
+    u0 = v + v[::-1]                # exactly even
+    u0[0] += scale * fem._EVEN_ROUNDOFF * np.finfo(float).eps * np.max(u0)
+    _run(sys, u0)
+    n = u0.size
+    assert [k for k, _ in factored] == [(n + 1) // 2 if half else n]
+
+
+@pytest.mark.parametrize("n", [48, 49])       # odd and even interior rows
+def test_half_factor_holds_at_most_55_percent_of_the_fill(n, factored):
+    mesh, sys = _system(n)
+    for ic in ("polynomial", "mollifier"):
+        _run(sys, interior_values(WaveProblem(ic=ic).initial_condition(), mesh))
+    (half, half_nnz), (full, full_nnz) = factored
+    assert (half, full) == ((full + 1) // 2, (n - 1) ** 2)
+    assert half_nnz <= 0.55 * full_nnz
 
 
 @pytest.mark.parametrize("nx, ny, axis", [(23, 16, 1), (39, 2, 1),

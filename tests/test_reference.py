@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -225,6 +226,22 @@ def test_regeneration_is_logged(tmp_path, caplog):
         generate_reference(prob, 6, 6, 1.0 / 12, cache_dir=tmp_path)
     assert caplog.records == []
 
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_build_logs_progress_with_eta(tmp_path, caplog, cached):
+    prob = WaveProblem(ic="polynomial")
+    with caplog.at_level(logging.INFO, logger="wavebench"):
+        generate_reference(prob, 6, 6, 1.0 / 20,
+                           cache_dir=tmp_path if cached else None)
+    assert {(r.name, r.levelno) for r in caplog.records} == {
+        ("wavebench", logging.INFO)}
+    # a line every tenth of the 20 levels, the last with nothing left
+    got = [re.fullmatch(r"reference 6x6: level (\d+) of 20, "
+                        r"[0-9.]+ s, ETA ([0-9.]+) s", m).groups()
+           for m in caplog.messages]
+    assert [int(k) for k, _ in got] == list(range(2, 21, 2))
+    assert got[-1][1] == "0.0"
 
 def test_write_leaves_other_temp_files_alone(tmp_path):
     prob, ref = _small_ref()

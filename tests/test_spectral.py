@@ -254,6 +254,15 @@ def test_ridge_validation():
         ridge_fit_svd(A_bad, np.ones(4))
 
 
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_ridge_rejects_empty_design(shape, monkeypatch):
+    # rejected before any BLAS call: with no BLAS module a call would fail
+    # with AttributeError instead
+    monkeypatch.setattr(spectral, "blas", None)
+    with pytest.raises(ValueError, match=f"empty {shape[0]}x{shape[1]} design"):
+        ridge_fit_svd(np.zeros(shape), np.zeros(shape[0]))
+
 def _svd_oracle(A, u, lam):
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     return s, Vt.T @ (s / (s**2 + lam) * (U.T @ u))
