@@ -3,13 +3,14 @@
 Subcommands: reference (build/cache the fine-grid reference), fit (spectral
 surrogate only), match (print the DoF-matched resolution), benchmark (full
 pipeline), snapshots (CSV grid export). A config, seed or DoF that cannot
-work is reported as a one-line usage error with exit status 2.
+work is a one-line usage error (exit status 2). Logs go to stderr at INFO.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -18,6 +19,12 @@ from . import runner
 from .dof_matching import match_cn_to_dof
 from .problem import IC_NAMES
 from .runner import ExperimentConfig
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the sys.stderr current when it is logged."""
+
+    stream = property(lambda self: sys.stderr, lambda self, _: None)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -67,6 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    log = logging.getLogger("wavebench")
+    log.setLevel(logging.INFO)
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        log.addHandler(_StderrHandler())
 
     if args.command == "match":
         try:

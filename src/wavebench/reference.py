@@ -62,6 +62,12 @@ def _trailer(header: bytes, leaves) -> bytes:
     return hashlib.sha256(header + b"".join(leaves)).digest()[:8]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 class CacheError(RuntimeError):
     """Reference cache file is corrupt or does not match its checksum."""
 
@@ -145,9 +151,7 @@ def load_reference(path, problem: WaveProblem) -> ReferenceSolution:
                 raise CacheError(f"{path}: stored {name}={a} differs from "
                                  f"requested {b}")
         level = 8 * (ny + 1) * (nx + 1)
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-        with ThreadPoolExecutor(workers) as pool:
+        with ThreadPoolExecutor(_usable_cpus()) as pool:
             leaves = pool.map(
                 lambda off: hashlib.sha256(os.pread(fd, level, off)).digest(),
                 range(_HEADER.size, size - 8, level))

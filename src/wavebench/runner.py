@@ -180,10 +180,8 @@ class BenchmarkResult:
 @functools.cache
 def environment() -> dict:
     """Versions, numpy's and scipy's BLAS, CPUs and OPENBLAS_NUM_THREADS."""
-    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-            else range(os.cpu_count() or 1))
     env = {"python": sys.version.split()[0], "numpy": np.__version__,
-           "scipy": scipy.__version__, "cpu_count": len(cpus),
+           "scipy": scipy.__version__, "cpu_count": reference._usable_cpus(),
            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
     for lib in (np, scipy):
         info = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -63,8 +63,10 @@ _GRAM_MAX_EV_RATIO = 1e6
 
 def _sine_table(coords, N: int, L: float) -> np.ndarray:
     """sin(j pi x / L) for j = 1..N; exact zeros wherever j x / L is integral."""
-    z = np.multiply.outer(np.asarray(coords, dtype=float) / L,
-                          np.arange(1, N + 1, dtype=float))
+    coords = np.asarray(coords, dtype=float)
+    if not np.all((coords >= 0) & (coords <= L)):       # NaN fails too
+        raise ValueError(f"point outside the closed rectangle: not in [0, {L}]")
+    z = np.multiply.outer(coords / L, np.arange(1, N + 1, dtype=float))
     out = np.sin(np.pi * z)
     out[z == np.round(z)] = 0.0
     return out
@@ -175,15 +177,12 @@ def build_design_matrix(points: np.ndarray, basis: SpectralBasis) -> DesignMatri
     """Sine tables and cosine moments of the basis at the sample points."""
     points = np.asarray(points, dtype=float)
     x, y = points[:, 0], points[:, 1]
-    # written so that NaN fails the check too
-    if not (np.all((x >= 0) & (x <= basis.L1))
-            and np.all((y >= 0) & (y <= basis.L2))):
-        raise ValueError("sample point outside the closed rectangle")
+    # the sine tables reject points outside the rectangle before cos sees them
+    sx, sy = _sine_table(x, basis.N, basis.L1), _sine_table(y, basis.N, basis.L2)
     d = np.pi * np.arange(2 * basis.N + 1, dtype=float)
     cx = np.cos(np.multiply.outer(x / basis.L1, d))
     cy = np.cos(np.multiply.outer(y / basis.L2, d))
-    return DesignMatrix(_sine_table(x, basis.N, basis.L1),   # (m, N), j index
-                        _sine_table(y, basis.N, basis.L2),   # (m, N), k index
+    return DesignMatrix(sx, sy,               # (m, N) each: j and k index
                         blas.dgemm(1.0, cx.T, cy.T, trans_b=1))  # Fortran views
 
 
@@ -396,8 +395,6 @@ class SpectralModel:
         if last and np.array_equal(last[0], x) and np.array_equal(last[1], y):
             return last[2:]
         b = self.basis
-        if not (np.all((x >= 0) & (x <= b.L1)) and np.all((y >= 0) & (y <= b.L2))):
-            raise ValueError("evaluation point outside the closed rectangle")
         xu, inv = np.unique(x, return_inverse=True)
         tables = (_sine_table(xu, b.N, b.L1), inv, _sine_table(y, b.N, b.L2))
         object.__setattr__(self, "_tables", (x.copy(), y.copy()) + tables)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wavebench import reference
+from wavebench import problem, reference
 from wavebench.problem import (WaveProblem, ic_polynomial, ic_mollifier,
                                ic_single_mode, single_mode_solution)
 
@@ -83,25 +83,28 @@ def test_problem_validation():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(L1=2.0, ic="polynomial"), "reaches 0.5"),
+    (dict(L1=2.0, ic="polynomial"), "unless L1 = L2 = 1"),
+    # the rule is exact: no tolerance lets a near-unit square through
+    (dict(L1=1.0 + 1e-13, ic="polynomial"), "not zero on the boundary"),
     (dict(L2=0.5, ic="polynomial"), "not zero on the boundary"),
     (dict(L1=0.5, ic="mollifier"), "not zero on the boundary"),
     (dict(ic="mollifier", ic_params={"x0": 0.1}), "not zero on the boundary"),
     (dict(ic="mollifier", ic_params={"R": -1}), "support radius"),
+    (dict(ic="mollifier", ic_params={"R": float("nan")}), "support radius"),
     (dict(ic="mollifier", ic_params={"radius": 0.2}), "radius"),
     (dict(ic="polynomial", ic_params={"R": 0.1}), "takes no ic_params"),
     (dict(ic="single_mode", ic_params={"R": 0.1}), "takes no ic_params"),
     (dict(ic="single_mode", ic_params={"L1": 2.0}), "takes no ic_params"),
-    # the disk crosses x = 0 between two of the 101 edge samples, where
-    # u0(0, 0.505) = 0.264
+    # the disk crosses x = 0, where u0(0, 0.505) = 0.264
     (dict(ic="mollifier", ic_params={"x0": 0.002, "y0": 0.505, "R": 0.004}),
      "support disk"),
     # each of these gives an identically zero u0
     (dict(ic="mollifier", ic_params={"x0": float("nan")}), "support disk"),
     (dict(ic="mollifier", ic_params={"x0": float("inf")}), "support disk"),
     (dict(ic="mollifier", ic_params={"x0": 5.0}), "support disk"),
-], ids=["polynomial_L1", "polynomial_L2", "mollifier_L1", "mollifier_x0",
-        "mollifier_R", "mollifier_unknown_param", "polynomial_params",
+], ids=["polynomial_L1", "polynomial_L1_near_1", "polynomial_L2",
+        "mollifier_L1", "mollifier_x0", "mollifier_R", "mollifier_nan_R",
+        "mollifier_unknown_param", "polynomial_params",
         "single_mode_unknown_param", "single_mode_L1_param",
         "mollifier_crossing_edge", "mollifier_nan_x0", "mollifier_inf_x0",
         "mollifier_x0_outside"])
@@ -115,6 +118,16 @@ def test_problem_accepts_boundary_zero_initial_conditions():
     WaveProblem(L1=3.0, L2=0.7, ic="single_mode")
     WaveProblem(L1=2.0, ic="mollifier")
     WaveProblem(ic="mollifier", ic_params={"x0": 0.5, "y0": 0.5, "R": 0.5})
+
+
+def test_problem_checks_boundary_rules_without_evaluating_u0(monkeypatch):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("an initial condition was evaluated")
+    for name in ("ic_polynomial", "ic_mollifier", "ic_single_mode"):
+        monkeypatch.setattr(problem, name, evaluated)
+    WaveProblem(ic="polynomial")
+    WaveProblem(ic="mollifier", ic_params={"x0": 0.5, "y0": 0.5, "R": 0.5})
+    WaveProblem(L1=3.0, L2=0.7, ic="single_mode")
 
 
 def test_ic_params_numbers_are_kept_as_floats():

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import io
 import json
+import logging
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +30,17 @@ def small_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench")
     config = _small_config(out)
     return config, run_benchmark(config)
+
+
+@pytest.fixture(autouse=True)
+def _restore_wavebench_logger():
+    # cli.main sets the logger to INFO and gives it a stderr handler; undo
+    # that, so that other modules' tests see the logger as they left it
+    log = logging.getLogger("wavebench")
+    level, handlers = log.level, log.handlers[:]
+    yield
+    log.setLevel(level)
+    log.handlers[:] = handlers
 
 
 # ---------------------------------------------------------------- config
@@ -478,6 +491,19 @@ def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys)
     err = capsys.readouterr().err
     assert message in err
     assert err.startswith("usage: ") and err.count("error:") == 1
+
+
+def test_cli_reference_shows_build_progress_on_stderr(tmp_path, capsys):
+    (tmp_path / "small.json").write_text(
+        '{"N": 4, "m": 120, "ref_nx": 16, "ref_ny": 16, "Nt_eval": 10}')
+    argv = ["reference", "--config", str(tmp_path / "small.json"), "--output"]
+    assert cli.main(argv + [str(tmp_path / "a")]) == 0
+    assert "level 32 of 32" in capsys.readouterr().err
+    # a later call logs to the stderr current then, through the same handler
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(argv + [str(tmp_path / "b")]) == 0
+    assert "level 32 of 32" in err.getvalue()
+    assert len(logging.getLogger("wavebench").handlers) == 1
 
 
 def test_report_records_the_matched_solve_counters(small_result):
