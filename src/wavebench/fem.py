@@ -13,11 +13,11 @@ order, reused every step, so a step is one product with M and one solve;
 the Taylor start solves with M by conjugate gradients. See `cn_steps` for
 the update behind the published tables.
 
-The mesh is symmetric under the point reflection (x, y) -> (L1 - x, L2 - y),
-which reverses the row-major unknown vector, so M and K commute with that
-reversal and a start it leaves unchanged keeps every level unchanged. The
-polynomial and single-mode starts are such, up to evaluation round-off;
-`cn_steps` steps them on the first (n + 1) // 2 unknowns.
+M and K commute with the mesh's point reflection J and, on a square grid of
+a square, its transpose S and anti-transpose JS, so a start that some of
+them keep steps on their orbits (`cn_steps`): the polynomial and the
+single mode on a quarter of the unknowns, the default mollifier (JS) on
+half.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ __all__ = [
 ]
 
 _CG_MAXITER = 200
-# The odd part of an even start is evaluation round-off: 2.5 eps of max|u0|
-# for the polynomial and 3.8 eps for the single mode (L1 != L2 too) on
-# 4 x 4 to 400 x 400 grids, against 0.5 max|u0| for the default mollifier.
+# A symmetry g that a start keeps moves it by evaluation round-off only:
+# max|u0 - g u0| on 4 x 4 to 400 x 400 grids is at most 3 eps of max|u0|
+# for the polynomial and 4 eps for the single mode (under J also with
+# L1 != L2), under J, S and JS, and 12.7 eps for the default mollifier
+# under JS, whose odd part under J and S is 0.5 max|u0|.
 _EVEN_ROUNDOFF = 16
 
 
@@ -184,38 +186,36 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
     cond(M) <= 4 on every mesh `build_structured_mesh` makes.
     `stats["cg_iters"]` counts its iterations (0 with paper_update).
 
-    Point-symmetric starts step on half the unknowns. The reflection
-    (x, y) -> (L1 - x, L2 - y) reverses the unknown vector, J u = u[::-1].
-    When M and K commute with J exactly and u0's odd part is round-off,
-    max|u0 - J u0| <= _EVEN_ROUNDOFF eps max|u0|, every level is even:
-    U = P V, with V the first h = (n + 1) // 2 unknowns and P the n x h
-    embedding that mirrors them. After the full-space Taylor start both
-    updates run on A_e = A[:h] P and M_e = M[:h] P. A_e is a diagonal
-    scaling away from SPD, so diagonal pivots serve. Its order is the
-    (h - 1) // (nx - 1) whole grid rows below the fold row by
-    `_nested_dissection`, then the fold row's unknowns, which the fold
-    couples to their mirror images in that row. Its factor holds about half
-    the nonzeros of A's. Each level is yielded as the mirrored full vector
-    P V. Any other start steps on all n unknowns.
+    Starts that a mesh symmetry keeps step on its orbits. J,
+    (x, y) -> (L1 - x, L2 - y), reverses the unknown vector; on a square
+    unknown grid the transpose S and the anti-transpose JS permute it too.
+    `_orbits` keeps each that commutes exactly with M and K and moves u0 by
+    at most _EVEN_ROUNDOFF eps max|u0|; every level is then unchanged by
+    the group G they generate: U = P V, with V one value per orbit of G and
+    P the n x h embedding that copies it to the orbit's members. After the
+    full-space Taylor start both updates run on A_e = A[first] P and
+    M_e = M[first] P, `first` being each orbit's smallest member; A_e is a
+    diagonal scaling of the SPD P^T A P, so diagonal pivots serve. The
+    orbits are numbered in elimination order: `_nested_dissection`'s order
+    of the whole grid restricted to the smallest members, with the middle
+    grid row, which J folds onto itself, cut first when J is in G
+    (restriction alone gives 18% more fill at 200 x 120). The factor holds
+    about a fifth of A's nonzeros under J, S and JS (the polynomial and the
+    single mode on a square) and about half under J or JS alone (the
+    default mollifier keeps JS). With no symmetry kept P is the identity.
+    Each level is yielded as the full vector P V.
     """
     if stats is None:
         stats = {}
     stats.update({"factorizations": 0, "solves": 0, "spmv": 0, "cg_iters": 0})
     yield u0
 
-    n, nx = len(u0), sys.mesh.nx - 1
-    if n > 1 and _point_symmetric(sys, u0):
-        h = (n + 1) // 2
-        fold = np.r_[np.arange(h), np.arange(n - h)[::-1]]
-        P = sp.csr_matrix((np.ones(n), (np.arange(n), fold)), shape=(n, h))
-        M, K = sys.M[:h] @ P, sys.K[:h] @ P
-        rows = (h - 1) // nx        # whole grid rows below the fold row
-        order = np.r_[_nested_dissection(nx, rows), np.arange(rows * nx, h)]
-    else:
-        h, fold, M, K = n, slice(None), sys.M, sys.K
-        order = _nested_dissection(nx, sys.mesh.ny - 1)
-    inverse = np.argsort(order)
-    A = (M + sys.c**2 * dt**2 / 2.0 * K)[order][:, order].tocsc()
+    n = len(u0)
+    orbit, first = _orbits(sys, u0)
+    h = len(first)
+    P = sp.csr_matrix((np.ones(n), (np.arange(n), orbit)), shape=(n, h))
+    M, K = sys.M[first] @ P, sys.K[first] @ P
+    A = (M + sys.c**2 * dt**2 / 2.0 * K).tocsc()
     try:
         lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -232,26 +232,50 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
                                                            stats)
         stats["solves"] += 1
         stats["spmv"] += 1
-    prev, curr = prev[:h], curr[:h]
+    prev, curr = prev[first], curr[first]
     while True:
-        yield curr[fold]
+        yield curr[orbit]
         if paper_update:        # 2M - aK = 3M - A
             rhs, lag = M @ (3.0 * curr - prev), curr
         else:
             rhs, lag = M @ (2.0 * curr), prev
-        prev, curr = curr, lu.solve(rhs[order])[inverse] - lag
+        prev, curr = curr, lu.solve(rhs) - lag
         stats["solves"] += 1
         stats["spmv"] += 1
 
 
-def _point_symmetric(sys: FemSystem, u0: np.ndarray) -> bool:
-    """Whether u0, M and K are even under the point reflection
-    (x, y) -> (L1 - x, L2 - y), which reverses the unknown vector: u0 to
-    within _EVEN_ROUNDOFF eps of its largest value, M and K exactly."""
-    odd = np.max(np.abs(u0 - u0[::-1]))
-    if not odd <= _EVEN_ROUNDOFF * np.finfo(float).eps * np.max(np.abs(u0)):
-        return False            # NaN fails too
-    return not any((B != B[::-1, ::-1]).nnz for B in (sys.M, sys.K))
+def _orbits(sys: FemSystem, u0: np.ndarray):
+    """Orbits of the unknowns under the mesh symmetries that u0 keeps.
+
+    The candidates are J, and S and JS on a square unknown grid (see
+    `cn_steps`); one is kept when M and K commute with it exactly and it
+    changes u0 by at most _EVEN_ROUNDOFF eps max|u0| (NaN fails). Returns
+    (orbit, first): orbit[p] numbers unknown p's orbit in elimination
+    order, and first[k] is the smallest member of orbit k.
+    """
+    nx, ny = sys.mesh.nx - 1, sys.mesh.ny - 1
+    n = nx * ny
+    grid = np.arange(n).reshape(ny, nx)
+    J = grid[::-1, ::-1]
+    candidates = [J, grid.T, J.T] if nx == ny else [J]
+    tol = _EVEN_ROUNDOFF * np.finfo(float).eps * np.max(np.abs(u0), initial=0)
+    rep = np.arange(n)      # smallest member of each unknown's orbit so far
+    for g in candidates:
+        g = g.ravel()
+        if (np.max(np.abs(u0 - u0[g]), initial=0) <= tol and not any(
+                (B[g][:, g] != B).nnz for B in (sys.M, sys.K))):
+            # the group is abelian and each generator its own inverse
+            rep = np.minimum(rep, rep[g])
+
+    if n and np.array_equal(rep, rep[::-1]):       # J is in the group
+        mid = (ny - 1) // 2     # the rows above it hold no smallest member
+        order = np.r_[_nested_dissection(nx, mid), grid[mid]]
+    else:
+        order = _nested_dissection(nx, ny)
+    first = order[rep[order] == order]
+    number = np.empty(n, dtype=np.intp)
+    number[first] = np.arange(len(first))
+    return number[rep], first
 
 
 def _nested_dissection(nx: int, ny: int) -> np.ndarray:
@@ -291,8 +315,8 @@ def _mass_solve(M: sp.csr_matrix, b: np.ndarray, stats: dict) -> np.ndarray:
 def cn_solve(sys: FemSystem, u0_nodal: np.ndarray, dt: float, Nt: int,
              paper_update: bool = False) -> FemTrajectory:
     """Advance the semi-discrete wave system; see `cn_steps` for the update."""
-    if dt <= 0:
-        raise ValueError("time step must be positive")
+    if not 0 < dt < np.inf:                         # NaN fails it too
+        raise ValueError(f"time step must be positive and finite, got {dt}")
     if Nt < 1:
         raise ValueError("need at least one time step")
     u0 = np.asarray(u0_nodal, dtype=float)

@@ -243,9 +243,10 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
         if _malloc_trim is not None:
             # SuperLU sizes its work arrays from nnz(A), and once glibc's
             # mmap threshold has risen they come from a heap it does not
-            # trim. The next build's factor, half or full size, would place
-            # its own elsewhere and keep both sets of pages resident (+5 MB
-            # peak over 100 x 100 polynomial and mollifier builds).
+            # trim. The next build's factor, sized by the orbits its start
+            # steps on, would place its own elsewhere and keep both sets of
+            # pages resident (+5 MB peak over 100 x 100 polynomial and
+            # mollifier builds).
             _malloc_trim(0)
 
     if path is None:

@@ -265,18 +265,30 @@ _ORACLE_MESHES = {"": (24, 24, 1.0), "-24x17": (24, 17, 1.0),
                   "-40x3": (40, 3, 1.0), "-c10": (24, 24, 10.0)}
 
 
-@pytest.mark.parametrize("paper_update, nx, ny, c, ic", [
-    pytest.param(update, *mesh, ic, id=f"{update}{tag}{suffix}")
-    for ic, suffix in (("mollifier", ""), ("polynomial", "-polynomial"))
+# initial data by id suffix: the default mollifier, centred at (0.3, 0.7),
+# keeps JS; centred at (0.3, 0.3) it keeps S, at (0.5, 0.5) and as the
+# polynomial J, S and JS
+_ORACLE_STARTS = {"": ("mollifier", {}), "-polynomial": ("polynomial", {}),
+                  "-mollifier-0.3-0.3": ("mollifier", {"x0": 0.3, "y0": 0.3}),
+                  "-mollifier-0.5-0.5": ("mollifier", {"x0": 0.5, "y0": 0.5})}
+
+
+@pytest.mark.parametrize("paper_update, nx, ny, c, ic, ic_params", [
+    pytest.param(update, *mesh, *start, id=f"{update}{tag}{suffix}")
+    for suffix, start in _ORACLE_STARTS.items()
     for tag, mesh in _ORACLE_MESHES.items() for update in (False, True)])
-def test_cn_solve_matches_spsolve_oracle(paper_update, nx, ny, c, ic):
+def test_cn_solve_matches_spsolve_oracle(paper_update, nx, ny, c, ic,
+                                         ic_params):
     # each level from scratch with a direct solve in natural order and the
     # two-product right-hand side: a wrong permutation or a stale factor in
-    # the stepping path would show at the first step. The polynomial steps
-    # on the even half (odd and even interior counts), the mollifier on all.
+    # the stepping path would show at the first step. On the square meshes
+    # each start steps on the orbits of the symmetries it keeps; on the
+    # others the polynomial and the mollifier at (0.5, 0.5) step on the
+    # orbits of J, the other two mollifiers on all unknowns.
     mesh = build_structured_mesh(1.0, 1.0, nx, ny)
     sys = FemSystem.build(mesh, c)
-    u0 = interior_values(WaveProblem(ic=ic).initial_condition(), mesh)
+    u0 = interior_values(
+        WaveProblem(ic=ic, ic_params=ic_params).initial_condition(), mesh)
     dt, Nt = 1.0 / 48, 48
     traj = cn_solve(sys, u0, dt, Nt, paper_update)
     a = c**2 * dt**2 / 2.0
@@ -295,7 +307,7 @@ def test_cn_solve_matches_spsolve_oracle(paper_update, nx, ny, c, ic):
 
 
 # ---------------------------------------------------------------------------
-# the half-size path for starts that are even under the point reflection
+# stepping on the orbits of the mesh symmetries that the start keeps
 
 @pytest.fixture
 def factored(monkeypatch):
@@ -311,16 +323,48 @@ def factored(monkeypatch):
     return calls
 
 
+def _node_map(mesh, f):
+    """Permutation of the unknowns that carries node (x, y) to node f(x, y)."""
+    hx, hy = mesh.L1 / mesh.nx, mesh.L2 / mesh.ny
+    x, y = f(*mesh.interior_nodes())
+    i, j = np.rint(x / hx).astype(int), np.rint(y / hy).astype(int)
+    return (j - 1) * (mesh.nx - 1) + (i - 1)
+
+
+def _orbit_count(m):
+    """Orbits of an m x m unknown grid under J, S and JS (Burnside: J fixes
+    the centre of an odd grid, S and JS a diagonal each)."""
+    return (m * m + m % 2 + 2 * m) // 4
+
+
 @pytest.mark.parametrize("nx, ny, L1, L2", [(4, 4, 1.0, 1.0), (5, 5, 1.0, 1.0),
-                                            (5, 4, 1.3, 0.7), (4, 7, 1.0, 1.0)])
+                                            (5, 4, 1.3, 0.7), (4, 7, 1.0, 1.0),
+                                            (4, 4, 1.0, 2.0)])
 def test_reflection_commutes_with_mass_and_stiffness(nx, ny, L1, L2):
-    # (x, y) -> (L1 - x, L2 - y) reverses the unknown vector
-    sys = FemSystem.build(build_structured_mesh(L1, L2, nx, ny), 1.0)
+    # J, (x, y) -> (L1 - x, L2 - y), maps every mesh; on a square one the
+    # transpose S, (x, y) -> (y, x), and the anti-transpose JS,
+    # (x, y) -> (L - y, L - x), keep the diagonals too
+    mesh = build_structured_mesh(L1, L2, nx, ny)
+    sys = FemSystem.build(mesh, 1.0)
     n = sys.M.shape[0]
-    J = np.eye(n)[::-1]
-    for B in (sys.M.toarray(), sys.K.toarray()):
-        np.testing.assert_array_equal(J @ B, B @ J)
-    assert fem._point_symmetric(sys, np.ones(n))
+    maps = [lambda x, y: (L1 - x, L2 - y)]
+    if (nx, L1) == (ny, L2):
+        maps += [lambda x, y: (y, x), lambda x, y: (L1 - y, L1 - x)]
+    for f in maps:
+        g = _node_map(mesh, f)
+        assert sorted(g) == list(range(n))
+        for B in (sys.M, sys.K):
+            np.testing.assert_array_equal(B.toarray()[g][:, g], B.toarray())
+    # a constant start keeps every map that M and K commute with, and only
+    # those: on the 1 x 2 rectangle S and JS scale K's x and y couplings
+    orbit, first = fem._orbits(sys, np.ones(n))
+    assert len(first) == (_orbit_count(nx - 1) if len(maps) == 3
+                          else (n + 1) // 2)
+    np.testing.assert_array_equal(orbit[first], np.arange(len(first)))
+    for f in maps:
+        g = _node_map(mesh, f)
+        np.testing.assert_array_equal(orbit[g], orbit)
+        assert np.all(first[orbit] <= np.minimum(np.arange(n), g))
 
 
 def _run(sys, u0, paper_update=False):
@@ -329,7 +373,13 @@ def _run(sys, u0, paper_update=False):
     return traj
 
 
-@pytest.mark.parametrize("n", [8, 9])         # 49 and 64 unknowns
+# orbits at n = 8 and 9 (49 and 64 unknowns): the polynomial and the single
+# mode keep J, S and JS, the default mollifier at (0.3, 0.7) keeps JS only
+_ORBITS = {"polynomial": (16, 20), "single_mode": (16, 20),
+           "mollifier": (28, 36)}
+
+
+@pytest.mark.parametrize("n", [8, 9])
 @pytest.mark.parametrize("ic", ["polynomial", "single_mode", "mollifier"])
 def test_even_starts_factor_half_the_unknowns(n, ic, factored):
     mesh, sys = _system(n)
@@ -337,38 +387,69 @@ def test_even_starts_factor_half_the_unknowns(n, ic, factored):
     for paper_update in (False, True):
         traj = _run(sys, u0, paper_update)
         np.testing.assert_array_equal(traj.snapshots[0], u0)
-    size = (u0.size + 1) // 2 if ic != "mollifier" else u0.size
+        # every later level is copied from its orbits, so exactly symmetric
+        grids = traj.snapshots[1:].reshape(-1, n - 1, n - 1)
+        flip = grids[:, ::-1, ::-1].transpose(0, 2, 1)
+        np.testing.assert_array_equal(grids, flip)          # JS
+        if ic != "mollifier":
+            np.testing.assert_array_equal(grids, grids.transpose(0, 2, 1))
+    size = _ORBITS[ic][n - 8]
     assert [k for k, _ in factored] == [size, size]
 
 
 def test_asymmetric_system_steps_on_every_unknown(factored):
+    # unknowns 0 and 1 are the nodes (h, h) and (2h, h); scaling their
+    # coupling breaks J, S and JS alike, each of which moves the pair
     mesh, sys = _system(8)
     M = sys.M.tolil()
-    M[0, 0] *= 1.01
+    M[0, 1] *= 1.01
+    M[1, 0] *= 1.01
     skew = FemSystem(M.tocsr(), sys.K, mesh, sys.c)
     _run(skew, interior_values(WaveProblem().initial_condition(), mesh))
     assert [k for k, _ in factored] == [sys.M.shape[0]]
 
 
-@pytest.mark.parametrize("scale, half", [(0.75, True), (1.25, False)])
-def test_odd_part_past_round_off_takes_the_full_path(scale, half, factored):
+@pytest.mark.parametrize("scale, quarter", [(0.75, True), (1.25, False)])
+def test_odd_part_past_round_off_takes_the_full_path(scale, quarter, factored):
+    # a start even under J, S and JS to the last bit, then one unknown
+    # that each of them moves raised by `scale` times the round-off allowance
     mesh, sys = _system(8)
-    v = interior_values(WaveProblem().initial_condition(), mesh)
-    u0 = v + v[::-1]                # exactly even
-    u0[0] += scale * fem._EVEN_ROUNDOFF * np.finfo(float).eps * np.max(u0)
+    v = interior_values(WaveProblem().initial_condition(), mesh).reshape(7, 7)
+    v = v + v[::-1, ::-1]
+    u0 = (v + v.T).ravel()
+    u0[1] += scale * fem._EVEN_ROUNDOFF * np.finfo(float).eps * np.max(u0)
     _run(sys, u0)
-    n = u0.size
-    assert [k for k, _ in factored] == [(n + 1) // 2 if half else n]
+    assert [k for k, _ in factored] == [16 if quarter else u0.size]
 
 
 @pytest.mark.parametrize("n", [48, 49])       # odd and even interior rows
 def test_half_factor_holds_at_most_55_percent_of_the_fill(n, factored):
+    # J, S and JS quarter the unknowns, JS alone halves them; the factor
+    # shrinks at least as much
     mesh, sys = _system(n)
     for ic in ("polynomial", "mollifier"):
         _run(sys, interior_values(WaveProblem(ic=ic).initial_condition(), mesh))
-    (half, half_nnz), (full, full_nnz) = factored
-    assert (half, full) == ((full + 1) // 2, (n - 1) ** 2)
-    assert half_nnz <= 0.55 * full_nnz
+    _run(sys, np.random.default_rng(0).random(mesh.n_interior))
+    (quarter, quarter_nnz), (half, half_nnz), (full, full_nnz) = factored
+    m = n - 1
+    assert (quarter, half, full) == (_orbit_count(m), (m * m + m) // 2,
+                                     m * m)
+    assert quarter_nnz <= 0.25 * full_nnz
+    assert half_nnz <= 0.5 * full_nnz
+
+
+@pytest.mark.parametrize("nx, ny, nnz", [(49, 31, 28962), (48, 30, 26070)])
+def test_reflection_alone_cuts_the_middle_row_first(nx, ny, nnz, factored):
+    # on a non-square grid only J is kept; its middle grid row, which J
+    # folds onto itself, is eliminated last. `nnz` is the factor fill that
+    # order was first measured at (30 and 29 unknown rows); restricting
+    # the whole grid's order instead gives 29,190 and 28,446
+    mesh = build_structured_mesh(1.0, 1.0, nx, ny)
+    sys = FemSystem.build(mesh, 1.0)
+    _run(sys, interior_values(WaveProblem().initial_condition(), mesh))
+    [(h, got)] = factored
+    assert h == (mesh.n_interior + 1) // 2
+    assert got <= nnz
 
 
 @pytest.mark.parametrize("nx, ny, axis", [(23, 16, 1), (39, 2, 1),
@@ -442,8 +523,9 @@ def test_tiny_grids_step(nx, ny, n):
 def test_cn_solve_input_validation():
     mesh, sys = _system(4)
     u0 = np.zeros(sys.M.shape[0])
-    with pytest.raises(ValueError):
-        cn_solve(sys, u0, -0.1, 10)
+    for dt in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="time step"):
+            cn_solve(sys, u0, dt, 10)
     with pytest.raises(ValueError):
         cn_solve(sys, u0, 0.1, 0)
     with pytest.raises(ValueError):
