@@ -260,12 +260,16 @@ def _orbits(sys: FemSystem, u0: np.ndarray):
     candidates = [J, grid.T, J.T] if nx == ny else [J]
     tol = _EVEN_ROUNDOFF * np.finfo(float).eps * np.max(np.abs(u0), initial=0)
     rep = np.arange(n)      # smallest member of each unknown's orbit so far
+    kept = 0
     for g in candidates:
+        if kept == 2:
+            break   # J and S generate JS: rep is the minimum over all four
         g = g.ravel()
         if (np.max(np.abs(u0 - u0[g]), initial=0) <= tol and not any(
                 (B[g][:, g] != B).nnz for B in (sys.M, sys.K))):
             # the group is abelian and each generator its own inverse
             rep = np.minimum(rep, rep[g])
+            kept += 1
 
     if n and np.array_equal(rep, rep[::-1]):       # J is in the group
         mid = (ny - 1) // 2     # the rows above it hold no smallest member
@@ -285,19 +289,22 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
     or < 3 a side. The stencil couples adjacent grid lines only.
     """
     order = []
-
-    def visit(block):
-        if block.shape[0] > block.shape[1]:
-            block = block.T             # cut across the longer side
-        mid = block.shape[1] // 2
-        if block.size > 16 and block.shape[1] >= 3:
-            visit(block[:, :mid])
-            visit(block[:, mid + 1:])
-            block = block[:, mid]
-        order.append(block.ravel())
-
-    visit(np.arange(nx * ny).reshape(ny, nx))
+    _dissect(np.arange(nx * ny).reshape(ny, nx), order)
     return np.concatenate(order)
+
+
+def _dissect(block: np.ndarray, order: list) -> None:
+    """Append `block`'s indices to `order` in nested-dissection order (a
+    closure calling itself would be a reference cycle, which keeps the
+    index arrays alive until the cyclic collector runs)."""
+    if block.shape[0] > block.shape[1]:
+        block = block.T             # cut across the longer side
+    mid = block.shape[1] // 2
+    if block.size > 16 and block.shape[1] >= 3:
+        _dissect(block[:, :mid], order)
+        _dissect(block[:, mid + 1:], order)
+        block = block[:, mid]
+    order.append(block.ravel())
 
 
 def _mass_solve(M: sp.csr_matrix, b: np.ndarray, stats: dict) -> np.ndarray:

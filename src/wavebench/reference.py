@@ -6,14 +6,19 @@ as full nodal slices (boundary rows exactly zero). Cache files use the
 the value array time-major then y-major then x, and an 8-byte trailer.
 In format version 3 the trailer is a two-level SHA-256 tree,
 sha256(header || sha256(level_0) || ... || sha256(level_Nt))[:8], which
-covers every byte in order. The writer hashes each time level as it
-writes it. The loader reads the levels with positioned reads and hashes
-them in a thread pool (os.pread and hashlib release the GIL), so a load
-keeps about one level per CPU resident; it maps the values only after the
-checksum has passed, through the file it verified. Version 2 files are
-rejected. Generation streams slice by slice, so the peak memory stays at
-one spatial slice. A file is verified and mapped before it is published:
-the writer renames its temporary file onto the cache path only then.
+covers every byte in order. The loader reads the levels with positioned
+reads and hashes them in a thread pool (os.pread and hashlib release the
+GIL), so a load keeps about one level per CPU resident; it maps the values
+only after the checksum has passed, through the file it verified. Version
+2 files are rejected.
+
+Generation streams slice by slice into a private temporary file. The
+stepping thread writes each level; one worker thread hashes it in memory
+and again as read back from the file, while the next level is solved, so
+at most _IN_FLIGHT levels are held. After the last level the writer checks
+the header, size and trailer read back from the file, as a load does, and
+maps the file only then; it renames the file onto the cache path last, so
+a file is verified and mapped before it is published.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import os
 import struct
 import tempfile
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +55,7 @@ log = logging.getLogger("wavebench")
 MAGIC = b"WBEN"
 VERSION = 3
 _HEADER = struct.Struct("<4sIIII5d")       # magic, ver, nx, ny, Nt, 5 doubles
+_IN_FLIGHT = 8          # levels a writer holds until the worker checks them
 
 try:                    # glibc only; other C libraries have no such call
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -83,7 +90,9 @@ class ReferenceSolution:
     Nt_ref: int
     values: np.ndarray          # possibly a read-only memmap
     cache: str = "memory"       # "hit", "built", "regenerated" or "memory"
-    load_s: float | None = None     # seconds to load and verify the file
+    # seconds to load and verify the file; for a build, from its last
+    # level's write to the verified map
+    load_s: float | None = None
 
     def at_time(self, t: float) -> np.ndarray:
         """Nodal slice at time t by linear interpolation between levels."""
@@ -97,25 +106,95 @@ def write_reference(ref: ReferenceSolution, path) -> None:
                   ref.problem, ref.dt_ref, iter(ref.values))
 
 
+def _write(fd: int, path, buf) -> None:
+    """os.write all of `buf` at the file offset; a short write is an error."""
+    want = memoryview(buf).nbytes
+    got = os.write(fd, buf)
+    if got != want:
+        raise OSError(f"{path}: short write, {got} of {want} bytes")
+
+
+def _level_digest(fd: int, path, offset: int, size: int) -> bytes:
+    """SHA-256 of the `size` bytes at `offset`, read with os.pread."""
+    data = os.pread(fd, size, offset)
+    if len(data) != size:
+        raise CacheError(f"{path}: short read, {len(data)} of {size} bytes "
+                         f"at byte {offset}")
+    return hashlib.sha256(data).digest()
+
+
+def _check_header(fd: int, path, problem: WaveProblem):
+    """Read a WBEN header and check it against the file size and `problem`;
+    returns the header bytes, the file size and (nx, ny, Nt, dt)."""
+    size = os.fstat(fd).st_size
+    if size < _HEADER.size + 8:
+        raise CacheError(f"{path}: truncated cache file")
+    header = os.pread(fd, _HEADER.size, 0)
+    magic, ver, nx, ny, Nt, L1, L2, c, T, dt = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise CacheError(f"{path}: bad magic {magic!r}")
+    if ver != VERSION:
+        raise CacheError(f"{path}: unsupported format version {ver}")
+    n_vals = (Nt + 1) * (ny + 1) * (nx + 1)
+    expect = _HEADER.size + 8 * n_vals + 8
+    if size != expect:
+        raise CacheError(f"{path}: size {size}, expected {expect}")
+    for name, a, b in (("L1", L1, problem.L1), ("L2", L2, problem.L2),
+                       ("c", c, problem.c), ("T", T, problem.T)):
+        if a != b:
+            raise CacheError(f"{path}: stored {name}={a} differs from "
+                             f"requested {b}")
+    return header, size, (nx, ny, Nt, dt)
+
+
+def _map_verified(f, path, header: bytes, size: int, leaves) -> np.memmap:
+    """Map the values of the open file `f` once its trailer matches the
+    tree root over `header` and the levels' digests."""
+    if _trailer(header, leaves) != os.pread(f.fileno(), 8, size - 8):
+        raise CacheError(f"{path}: checksum mismatch")
+    nx, ny, Nt = _HEADER.unpack(header)[2:5]
+    return np.memmap(f, dtype="<f8", mode="r", offset=_HEADER.size,
+                     shape=(Nt + 1, ny + 1, nx + 1))
+
+
 def _stream_write(path: Path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices):
+    """Write `slices` (not modified once yielded) to a temporary file,
+    verify and map it, and rename it onto `path` (see the module doc)."""
     header = _HEADER.pack(MAGIC, VERSION, ref_nx, ref_ny, Nt_ref, problem.L1,
                           problem.L2, problem.c, problem.T, dt_ref)
-    leaves = []
     # a private temp file per writer, so concurrent writers never share one
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name,
                                suffix=".tmp")
+
+    def check(data: np.ndarray, offset: int) -> bytes:
+        leaf = _level_digest(fd, tmp, offset, data.nbytes)
+        if leaf != hashlib.sha256(data).digest():
+            raise CacheError(f"{tmp}: the level at byte {offset} reads back "
+                             "changed")
+        return leaf
+
     try:
         os.chmod(tmp, 0o644)        # mkstemp makes 0600; caches are shared
-        with os.fdopen(fd, "wb") as f:
-            f.write(header)
+        # the pool exits first, so its last checks still read an open file
+        with (os.fdopen(fd, "r+b", buffering=0) as f,
+              ThreadPoolExecutor(1) as pool):
+            _write(fd, tmp, header)
+            offset, leaves, pending = len(header), [], deque()
             for sl in slices:
                 data = np.ascontiguousarray(sl, dtype="<f8")
-                leaves.append(hashlib.sha256(data).digest())
-                f.write(data)
-            f.write(_trailer(header, leaves))
-        ref = load_reference(tmp, problem)
+                _write(fd, tmp, data)
+                pending.append(pool.submit(check, data, offset))
+                offset += data.nbytes
+                if len(pending) == _IN_FLIGHT:
+                    leaves.append(pending.popleft().result())
+            t0 = time.perf_counter()
+            leaves += [p.result() for p in pending]
+            _write(fd, tmp, _trailer(header, leaves))
+            back, size, (nx, ny, Nt, dt) = _check_header(fd, tmp, problem)
+            values = _map_verified(f, tmp, back, size, leaves)
         os.replace(tmp, path)
-        return ref
+        return ReferenceSolution(problem, nx, ny, dt, Nt, values, "built",
+                                 time.perf_counter() - t0)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -132,34 +211,13 @@ def load_reference(path, problem: WaveProblem) -> ReferenceSolution:
     path = Path(path)
     with open(path, "rb") as f:
         fd = f.fileno()
-        size = os.fstat(fd).st_size
-        if size < _HEADER.size + 8:
-            raise CacheError(f"{path}: truncated cache file")
-        header = os.pread(fd, _HEADER.size, 0)
-        magic, ver, nx, ny, Nt, L1, L2, c, T, dt = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise CacheError(f"{path}: bad magic {magic!r}")
-        if ver != VERSION:
-            raise CacheError(f"{path}: unsupported format version {ver}")
-        n_vals = (Nt + 1) * (ny + 1) * (nx + 1)
-        expect = _HEADER.size + 8 * n_vals + 8
-        if size != expect:
-            raise CacheError(f"{path}: size {size}, expected {expect}")
-        for name, a, b in (("L1", L1, problem.L1), ("L2", L2, problem.L2),
-                           ("c", c, problem.c), ("T", T, problem.T)):
-            if a != b:
-                raise CacheError(f"{path}: stored {name}={a} differs from "
-                                 f"requested {b}")
+        header, size, (nx, ny, Nt, dt) = _check_header(fd, path, problem)
         level = 8 * (ny + 1) * (nx + 1)
         with ThreadPoolExecutor(_usable_cpus()) as pool:
-            leaves = pool.map(
-                lambda off: hashlib.sha256(os.pread(fd, level, off)).digest(),
-                range(_HEADER.size, size - 8, level))
-            trailer = _trailer(header, leaves)
-        if trailer != os.pread(fd, 8, size - 8):
-            raise CacheError(f"{path}: checksum mismatch")
-        values = np.memmap(f, dtype="<f8", mode="r", offset=_HEADER.size,
-                           shape=(Nt + 1, ny + 1, nx + 1))
+            leaves = list(pool.map(
+                lambda off: _level_digest(fd, path, off, level),
+                range(_HEADER.size, size - 8, level)))
+        values = _map_verified(f, path, header, size, leaves)
     return ReferenceSolution(problem, nx, ny, dt, Nt, values, "hit",
                              time.perf_counter() - t0)
 
@@ -201,8 +259,9 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
     """Run the fine-grid solver, caching the result on disk.
 
     With `cache_dir` set, an existing valid cache file is loaded instead of
-    recomputing; a missing file is built, and a corrupt one regenerated
-    with a warning on the `wavebench` logger. The result's `cache` says
+    recomputing; a missing file is built, and a corrupt one, or one of
+    another grid or step count, regenerated with a warning on the
+    `wavebench` logger. The result's `cache` says
     which of these happened. The solve streams each time level to disk,
     and a build logs its progress with an ETA on the `wavebench` logger at
     INFO, about every tenth of its levels.
@@ -216,7 +275,12 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
         event = "built"
         if path.exists():
             try:
-                return load_reference(path, problem)
+                ref = load_reference(path, problem)
+                grid = (ref.grid_nx, ref.grid_ny, ref.Nt_ref)
+                if grid == (ref_nx, ref_ny, Nt_ref):
+                    return ref
+                raise CacheError(f"{path}: stored grid {grid} differs from "
+                                 f"requested {(ref_nx, ref_ny, Nt_ref)}")
             except FileNotFoundError:
                 pass        # another process removed it since exists()
             except CacheError as exc:

@@ -2,10 +2,10 @@
 
 The first three criteria reproduce the published accuracy tables at full
 scale (400 x 400 reference, N = 40, m = 5000). On a cold cache the whole
-Tier-1 run took 30-31 s on a 2-vCPU VM, 20-21 s of it in the
+Tier-1 run took 28-29 s on a 2-vCPU VM, 18.5-19 s of it in the
 `paper_references` fixture, which builds both 400 x 400 references side by
 side in two processes (alone, the polynomial's build, on a quarter of the
-unknowns, takes 9.5 s and the mollifier's, on half, 18 s). They are cached
+unknowns, takes 7.3-8.9 s and the mollifier's, on half, 15 s). They are cached
 under /tmp/wbench and reused afterwards, when Tier-1 took 10-11 s and this
 file alone 4 s. The matched FEM solve uses the one-sided stiffness average
 (`paper_update`) that those tables were produced with; the conserving

@@ -422,6 +422,53 @@ def test_odd_part_past_round_off_takes_the_full_path(scale, quarter, factored):
     assert [k for k, _ in factored] == [16 if quarter else u0.size]
 
 
+def _kept_orbits(sys, u0):
+    """Smallest member of each unknown's orbit under the group of the node
+    maps (J, and S and JS on a square) that M, K and u0 keep, each of the
+    three tested on its own."""
+    mesh = sys.mesh
+    L1, L2 = mesh.L1, mesh.L2
+    maps = [lambda x, y: (L1 - x, L2 - y)]
+    if (mesh.nx, L1) == (mesh.ny, L2):
+        maps += [lambda x, y: (y, x), lambda x, y: (L1 - y, L1 - x)]
+    tol = fem._EVEN_ROUNDOFF * np.finfo(float).eps * np.max(np.abs(u0))
+    dense = [B.toarray() for B in (sys.M, sys.K)]
+    kept = [g for g in (_node_map(mesh, f) for f in maps)
+            if np.max(np.abs(u0 - u0[g])) <= tol
+            and all(np.array_equal(B[g][:, g], B) for B in dense)]
+    group = [np.arange(len(u0))] + kept + [g[h] for g in kept for h in kept]
+    return np.min(group, axis=0)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("start", ["polynomial", "single_mode", "mollifier",
+                                   "skew", "odd 0.75", "odd 1.25",
+                                   "transpose"])
+def test_orbits_match_every_kept_symmetry(n, start):
+    # `_orbits` skips JS once J and S are kept; the orbits must be those of
+    # every map checked alone. "skew" and "odd" are the systems and starts
+    # of the two tests above; "transpose" keeps S and breaks J and JS
+    mesh, sys = _system(n)
+    ic = start if start in ("single_mode", "mollifier") else "polynomial"
+    u0 = interior_values(WaveProblem(ic=ic).initial_condition(), mesh)
+    if start == "skew":
+        M = sys.M.tolil()
+        M[0, 1] *= 1.01
+        M[1, 0] *= 1.01
+        sys = FemSystem(M.tocsr(), sys.K, mesh, sys.c)
+    elif start.startswith("odd"):
+        v = u0.reshape(n - 1, n - 1)
+        v = v + v[::-1, ::-1]
+        u0 = (v + v.T).ravel()
+        u0[1] += (float(start.split()[1]) * fem._EVEN_ROUNDOFF
+                  * np.finfo(float).eps * np.max(u0))
+    elif start == "transpose":
+        v = np.random.default_rng(n).random((n - 1, n - 1))
+        u0 = (v + v.T).ravel()
+    orbit, first = fem._orbits(sys, u0)
+    np.testing.assert_array_equal(first[orbit], _kept_orbits(sys, u0))
+
+
 @pytest.mark.parametrize("n", [48, 49])       # odd and even interior rows
 def test_half_factor_holds_at_most_55_percent_of_the_fill(n, factored):
     # J, S and JS quarter the unknowns, JS alone halves them; the factor

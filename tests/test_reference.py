@@ -1,5 +1,6 @@
 """Reference generation and the binary cache format."""
 
+import gc
 import hashlib
 import logging
 import os
@@ -7,6 +8,8 @@ import re
 import struct
 import subprocess
 import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -257,16 +260,100 @@ def test_write_leaves_other_temp_files_alone(tmp_path):
 
 
 def test_failed_write_removes_its_temp_file(tmp_path):
+    # after 10 levels the writer holds as many checks in flight as it may
     prob, ref = _small_ref()
+    threads = set(threading.enumerate())
 
-    def slices():
-        yield ref.values[0]
+    def slices(levels):
+        yield from ref.values[:levels]
         raise RuntimeError("solver failed")
 
-    with pytest.raises(RuntimeError, match="solver failed"):
-        _stream_write(tmp_path / "ref.wben", 6, 6, 12, prob, ref.dt_ref,
-                      slices())
+    for levels in (1, 10):
+        with pytest.raises(RuntimeError, match="solver failed"):
+            _stream_write(tmp_path / "ref.wben", 6, 6, 12, prob, ref.dt_ref,
+                          slices(levels))
+        assert list(tmp_path.iterdir()) == []
+        assert set(threading.enumerate()) == threads
+
+
+_LEVEL = 8 * 7 * 7          # bytes of one level of the 6 x 6 reference
+
+
+@pytest.mark.parametrize("offset, at, match", [
+    (60 + 2 * _LEVEL, 0, "level at byte 844 reads back changed"),
+    (0, 52, "checksum mismatch"),           # dt, the header's last double
+    (60 + 13 * _LEVEL, 7, "checksum mismatch"),         # the trailer
+])
+def test_write_that_reads_back_changed_is_not_published(tmp_path, monkeypatch,
+                                                         offset, at, match):
+    # the writer checks the bytes it reads back from its temporary file,
+    # and maps nothing before every check has passed
+    prob, ref = _small_ref()
+    pread = os.pread
+
+    def flipped(fd, size, off):
+        data = pread(fd, size, off)
+        if off == offset:
+            data = data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+        return data
+
+    def no_map(*args, **kwargs):
+        raise AssertionError("mapped before the checks passed")
+    monkeypatch.setattr(reference.os, "pread", flipped)
+    monkeypatch.setattr(reference.np, "memmap", no_map)
+    with pytest.raises(CacheError, match=match):
+        write_reference(ref, tmp_path / "ref.wben")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("call, error, match", [
+    ("write", OSError, "short write, 59 of 60 bytes"),       # the header
+    ("pread", CacheError, "short read, 391 of 392 bytes at byte 60"),
+])
+def test_short_write_or_read_is_an_error(tmp_path, monkeypatch, call, error,
+                                         match):
+    prob, ref = _small_ref()
+    real = getattr(os, call)
+    if call == "write":
+        short = lambda fd, buf: real(fd, bytes(buf)[:-1])     # noqa: E731
+    else:
+        short = lambda fd, size, off: real(fd, size, off)[:-1]  # noqa: E731
+    monkeypatch.setattr(reference.os, call, short)
+    with pytest.raises(error, match=match):
+        write_reference(ref, tmp_path / "ref.wben")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_holds_at_most_its_bound_of_levels(tmp_path, monkeypatch):
+    # the worker's reads wait until the writer has handed over
+    # _IN_FLIGHT - 1 levels; the writer then waits on the oldest check
+    prob, ref = _small_ref()
+    bound = reference._IN_FLIGHT
+    assert len(ref.values) > bound + 2
+    gate = threading.Event()
+    pread = os.pread
+
+    def gated(fd, size, off):
+        gate.wait(10)
+        return pread(fd, size, off)
+    monkeypatch.setattr(reference.os, "pread", gated)
+    levels, live = [], []
+
+    def slices():
+        for k, level in enumerate(ref.values):
+            live.append(sum(r() is not None for r in levels))
+            if k == bound - 1:
+                gate.set()
+            level = level.copy()
+            levels.append(weakref.ref(level))
+            yield level
+
+    built = _stream_write(tmp_path / "ref.wben", 6, 6, 12, prob, ref.dt_ref,
+                          slices())
+    assert gate.is_set()
+    assert bound - 1 <= max(live) <= bound
+    np.testing.assert_array_equal(np.asarray(built.values), ref.values)
+    assert built.load_s > 0
 
 
 # Verifying a 64 MiB file in a fresh process: the values are written from
@@ -397,6 +484,37 @@ def test_file_pruned_right_after_publishing_keeps_the_build(tmp_path,
     assert ref.values.shape == (17, 9, 9)
     np.testing.assert_array_equal(np.asarray(ref.values), expected)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_file_of_another_grid_is_regenerated(tmp_path, caplog):
+    # a valid 6 x 6 file under the name of an 8 x 8 request
+    prob, small = _small_ref()
+    path = tmp_path / cache_filename(prob, 8, 8, 12)
+    write_reference(small, path)
+    with caplog.at_level(logging.WARNING, logger="wavebench"):
+        ref = generate_reference(prob, 8, 8, 1.0 / 12, cache_dir=tmp_path)
+    assert ref.cache == "regenerated"
+    assert ref.values.shape == (13, 9, 9)
+    np.testing.assert_array_equal(np.asarray(ref.values),
+                                  _small_ref(nx=8)[1].values)
+    [record] = caplog.records
+    assert "stored grid (6, 6, 12) differs from requested (8, 8, 12)" in (
+        record.getMessage())
+    assert load_reference(path, prob).grid_nx == 8
+
+
+@pytest.mark.parametrize("ic", ["polynomial", "mollifier"])
+def test_build_leaves_no_cyclic_garbage(tmp_path, ic):
+    # objects in a reference cycle wait for a full collection, which comes
+    # rarely in a process that keeps many objects, so each build's cycles
+    # would raise its peak memory
+    gc.collect()
+    gc.disable()
+    try:
+        generate_reference(WaveProblem(ic=ic), 8, 8, 1.0 / 16, tmp_path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cache_events(tmp_path):
