@@ -38,7 +38,7 @@ def main():
         mark = "  <-- grid minimum" if i == best else ""
         print(f"{grid[i]:12.3e}  {scores[i]:14.6e}  {fit.edof(grid[i]):9.1f}{mark}")
 
-    lam, edof, score = spectral.select_lambda_gcv(fit, grid)
+    lam, edof, score, _ = spectral.select_lambda_gcv(fit, grid)
     print(f"\nafter golden-section refinement: lambda = {lam:.3e}, "
           f"edof = {edof:.1f}, score = {score:.6e}")
 

@@ -203,8 +203,11 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
     about a fifth of A's nonzeros under J, S and JS (the polynomial and the
     single mode on a square) and about half under J or JS alone (the
     default mollifier keeps JS). With no symmetry kept P is the identity.
-    Each level is yielded as the full vector P V.
+    Each level is yielded as the full vector P V. A non-finite u0 raises
+    ValueError before the first level.
     """
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("non-finite initial values")
     if stats is None:
         stats = {}
     stats.update({"factorizations": 0, "solves": 0, "spmv": 0, "cg_iters": 0})

@@ -43,7 +43,7 @@ def ic_mollifier(x, y, x0=0.3, y0=0.7, R=0.24):
     Returns exp(-R^2 / (R^2 - r^2)) inside the support circle r < R and 0
     outside, where r^2 = (x-x0)^2 + (y-y0)^2.
     """
-    if R <= 0:
+    if not R > 0:                                   # NaN fails too
         raise ValueError("support radius must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import mmap
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -82,10 +83,11 @@ class SpectralBasis:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("need at least one mode per direction")
-        if min(self.L1, self.L2, self.c) <= 0:
-            raise ValueError("lengths and wave speed must be positive")
+        if (not isinstance(self.N, numbers.Integral) or isinstance(self.N, bool)
+                or self.N < 1):
+            raise ValueError(f"N must be an integer of at least 1, got {self.N!r}")
+        if not all(0 < v < np.inf for v in (self.L1, self.L2, self.c)):
+            raise ValueError("lengths and wave speed must be finite and positive")
 
     @cached_property
     def omegas(self) -> np.ndarray:
@@ -105,8 +107,8 @@ class DesignMatrix:
     Column (j-1)*N + (k-1) of the m x N^2 design Phi is
     sx[:, j-1] * sy[:, k-1]; `values` forms that product when it is read.
     `moments` is M = Cx^T Cy with Cx[p, d] = cos(d pi x_p / L1) and
-    Cy[p, d] = cos(d pi y_p / L2) for d = 0..2N, from which `gram` gathers
-    Phi^T Phi.
+    Cy[p, d] = cos(d pi y_p / L2) for d = 0..2N, from which `_gram_upper`
+    gathers Phi^T Phi.
     """
 
     sx: np.ndarray
@@ -121,11 +123,6 @@ class DesignMatrix:
     def values(self) -> np.ndarray:
         """The dense m x N^2 design, built on each read."""
         return (self.sx[:, :, None] * self.sy[:, None, :]).reshape(self.shape)
-
-    def gram(self) -> np.ndarray:
-        """Phi^T Phi, both triangles: `_gram_upper` mirrored."""
-        G = self._gram_upper()
-        return np.triu(G) + np.triu(G, 1).T
 
     def _gram_upper(self) -> np.ndarray:
         """The blocks (j, j') with j <= j' of Phi^T Phi, zeros below them:
@@ -215,11 +212,6 @@ class RidgeSVD:
     q: Callable
     factor: str                      # "tridiagonal" or "svd"
     ev_ratio: float | None
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        """Singular values above round-off, descending; unread by the fit."""
-        return np.sqrt(lapack.dsterf(self.d, self.e)[0][::-1])
 
     def coefficients(self, lam: float) -> np.ndarray:
         if lam < 0:
@@ -332,7 +324,8 @@ def select_lambda_gcv(fit: RidgeSVD, grid=None):
 
     Ties on the grid break toward larger (more regularizing) values. The
     refinement runs one golden-section search on log(lambda) in the interval
-    bracketing the grid minimizer. Returns (lambda_star, edof, score).
+    bracketing the grid minimizer. Returns (lambda_star, edof, score,
+    at_edge), at_edge telling whether the grid minimizer is an end point.
     """
     if grid is None:
         grid = default_lambda_grid()
@@ -367,7 +360,8 @@ def select_lambda_gcv(fit: RidgeSVD, grid=None):
         for x, f in ((x1, f1), (x2, f2)):
             if f < best_score:
                 best_lam, best_score = np.exp(x), f
-    return float(best_lam), fit.edof(best_lam), float(best_score)
+    return (float(best_lam), fit.edof(best_lam), float(best_score),
+            i in (0, grid.size - 1))
 
 
 @dataclass(frozen=True)
@@ -417,7 +411,10 @@ class SpectralModel:
         w = np.asarray(doc["weights"], dtype=float)
         if w.shape != (basis.N**2,):
             raise ValueError("weight vector length does not match N^2")
-        return cls(basis, w, doc["lambda"], doc["edof"], {"seed": doc.get("seed")})
+        lam, edof = doc["lambda"], doc["edof"]
+        if not (np.all(np.isfinite(w)) and 0 <= lam < np.inf and np.isfinite(edof)):
+            raise ValueError("weights, lambda and edof must be finite and lambda >= 0")
+        return cls(basis, w, lam, edof, {"seed": doc.get("seed")})
 
 
 def fit_spectral_model(problem, N: int, m: int, seed: int = 0) -> SpectralModel:
@@ -436,18 +433,10 @@ def fit_spectral_model(problem, N: int, m: int, seed: int = 0) -> SpectralModel:
     t1 = time.perf_counter()
     fit = ridge_fit_svd(Phi, u)
     t2 = time.perf_counter()
-    grid = default_lambda_grid()
-    lam, edof, score = select_lambda_gcv(fit, grid)
-    # the refinement stays within a grid step of the grid minimizer, and
-    # grid ties go to the larger value, so the end intervals tell
-    edge = bool((lam < grid[1] and fit.gcv(grid[0]) < fit.gcv(grid[1]))
-                or (lam > grid[-2] and fit.gcv(grid[-1]) <= fit.gcv(grid[-2])))
+    lam, edof, _, edge = select_lambda_gcv(fit)
     weights = fit.coefficients(lam)
     diagnostics = {
         "seed": seed,
-        "m": m,
-        "gcv_score": score,
-        "residual_norm": float(np.sqrt(fit.rss(lam))),
         "factor": fit.factor,
         "ev_ratio": fit.ev_ratio,
         "lambda_at_grid_edge": edge,

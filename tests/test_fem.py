@@ -579,6 +579,19 @@ def test_cn_solve_input_validation():
         cn_solve(sys, np.zeros(3), 0.1, 10)
 
 
+@pytest.mark.parametrize("paper_update", [False, True])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_start_fails_before_any_step(paper_update, bad, monkeypatch):
+    # no factorization, Taylor-start CG or step runs on such a start
+    mesh, sys = _system(8)
+    u0 = np.zeros(sys.M.shape[0])
+    u0[5] = bad
+    monkeypatch.setattr(fem, "_orbits", None)
+    monkeypatch.setattr(fem, "_mass_solve", None)
+    with pytest.raises(ValueError, match="non-finite initial values"):
+        cn_solve(sys, u0, 0.1, 10, paper_update)
+
+
 def test_discrete_energy_value():
     # single interior unknown (n = 2): M = h^2/2 = 1/8, K = 4
     mesh, sys = _system(2)

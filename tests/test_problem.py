@@ -41,6 +41,8 @@ def test_mollifier_custom_params():
         np.exp(-1.0))
     with pytest.raises(ValueError):
         ic_mollifier(0.5, 0.5, R=0.0)
+    with pytest.raises(ValueError, match="support radius must be positive"):
+        ic_mollifier(0.5, 0.5, R=float("nan"))
 
 
 def test_single_mode_and_solution():

@@ -614,6 +614,17 @@ def test_custom_ic_without_cache():
     np.testing.assert_array_equal(ref.values, poly.values)
 
 
+def test_non_finite_initial_values_fail_before_the_build(tmp_path):
+    # a problem-like object may stand in for a WaveProblem; its NaN start is
+    # rejected before the first level, and the writer leaves no file behind
+    nan_ic = SimpleNamespace(ic="custom", ic_params={}, L1=1.0, L2=1.0,
+                             c=1.0, T=1.0,
+                             initial_condition=lambda: lambda x, y: np.nan * x)
+    with pytest.raises(ValueError, match="non-finite initial values"):
+        generate_reference(nan_ic, 6, 6, 1.0 / 12, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generation_deterministic(tmp_path):
     prob = WaveProblem(ic="mollifier")
     a = generate_reference(prob, 8, 8, 1.0 / 16, cache_dir=tmp_path / "a")

@@ -1,12 +1,13 @@
 """Sampling, design matrix, ridge/GCV machinery, surrogate prediction."""
 
+import json
 import logging
 from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from wavebench import spectral
 from wavebench.mesh import build_structured_mesh
@@ -17,6 +18,12 @@ from wavebench.spectral import (SpectralBasis, SpectralModel, lhs_sample,
                                 ridge_fit_svd, select_lambda_gcv,
                                 default_lambda_grid, fit_spectral_model,
                                 predict, _sine_table)
+
+
+def _singular_values(fit):
+    """The design's singular values above round-off, descending, from the
+    fit's tridiagonal T = (d, e)."""
+    return np.sqrt(eigvalsh_tridiagonal(fit.d, fit.e[:fit.d.size - 1]))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +88,19 @@ def test_omegas_formed_once_and_read_only():
     assert asdict(b) == {"N": 3, "L1": 1.0, "L2": 2.0, "c": 3.0}
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(N=True), "N must be an integer"),
+    (dict(N=2.0), "N must be an integer"),
+    (dict(N=0), "N must be an integer"),
+    (dict(N=3, L1=np.nan), "finite and positive"),
+    (dict(N=3, L2=-1.0), "finite and positive"),
+    (dict(N=3, c=np.inf), "finite and positive"),
+], ids=["N_bool", "N_float", "N_zero", "L1_nan", "L2_negative", "c_inf"])
+def test_basis_validation(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SpectralBasis(**kwargs)
+
+
 def test_design_matrix_column_order():
     # column (j-1)*N + (k-1) holds sin(j pi x) sin(k pi y)
     pts = lhs_sample(40, 1.0, 1.0, seed=2)
@@ -131,8 +151,9 @@ def test_design_gram_and_rmatvec_match_dense(N, kind):
     assert Phi.shape == A.shape == (pts.shape[0], N * N)
     if kind == "midpoint" and N == 8:
         assert np.any(Phi.sx[:, 7] == 0.0) and np.any(Phi.sy[:, 7] == 0.0)
-    G_ref = A.T @ A
-    G = Phi.gram()
+    # the upper triangle, which is what dsytrd reads
+    G_ref = np.triu(A.T @ A)
+    G = np.triu(Phi._gram_upper())
     assert np.max(np.abs(G - G_ref)) <= 1e-13 * np.max(np.abs(G_ref))
     u = np.random.default_rng(N).standard_normal(pts.shape[0])
     b_ref = A.T @ u
@@ -158,7 +179,8 @@ def test_ridge_design_matrix_matches_array():
     u = WaveProblem(ic="polynomial").initial_condition()(pts[:, 0], pts[:, 1])
     fit_tab = ridge_fit_svd(Phi, u)
     fit_arr = ridge_fit_svd(Phi.values, u)
-    np.testing.assert_allclose(fit_tab.s, fit_arr.s, rtol=1e-10)
+    np.testing.assert_allclose(_singular_values(fit_tab),
+                               _singular_values(fit_arr), rtol=1e-10)
     w_tab, w_arr = fit_tab.coefficients(1e-3), fit_arr.coefficients(1e-3)
     assert np.linalg.norm(w_tab - w_arr) <= 1e-10 * np.linalg.norm(w_arr)
     for lam in default_lambda_grid():
@@ -282,7 +304,7 @@ def test_ridge_gram_route_matches_direct_svd(monkeypatch):
         raise AssertionError("well-conditioned design took the SVD route")
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     fit = ridge_fit_svd(A, u)
-    np.testing.assert_allclose(fit.s, s_ref, rtol=1e-10)
+    np.testing.assert_allclose(_singular_values(fit), s_ref, rtol=1e-10)
     for lam, w_ref in oracles.items():
         w = fit.coefficients(lam)
         assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
@@ -315,7 +337,7 @@ def test_ridge_svd_fallback_matches_oracle(kind, monkeypatch):
     fit = ridge_fit_svd(A, u)
     w = fit.coefficients(lam)
     assert calls == [1]
-    np.testing.assert_allclose(fit.s, s_ref, rtol=1e-12)
+    np.testing.assert_allclose(_singular_values(fit), s_ref, rtol=1e-12)
     assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
 
 
@@ -384,7 +406,7 @@ def test_gcv_constant_for_orthonormal_design():
     fit = ridge_fit_svd(np.eye(2), u)
     for lam in (1e-3, 1.0, 1e3):
         assert fit.gcv(lam) == pytest.approx(5.0 / 4.0)
-    _, _, score = select_lambda_gcv(fit, np.logspace(-3, 3, 13))
+    _, _, score, _ = select_lambda_gcv(fit, np.logspace(-3, 3, 13))
     assert score == pytest.approx(5.0 / 4.0)
 
 
@@ -394,7 +416,7 @@ def test_select_lambda_tie_breaks_large():
     fit = ridge_fit_svd(np.eye(2), np.zeros(2))
     grid = np.logspace(-3, 3, 13)
     assert all(fit.gcv(lam) == 0.0 for lam in grid)
-    lam, _, score = select_lambda_gcv(fit, grid)
+    lam, _, score, _ = select_lambda_gcv(fit, grid)
     assert lam == grid[-1]
     assert score == 0.0
 
@@ -406,7 +428,7 @@ def test_select_lambda_finds_interior_minimum():
     w_true[:3] = [1.0, -2.0, 0.5]
     u = A @ w_true + 0.1 * rng.standard_normal(80)
     fit = ridge_fit_svd(A, u)
-    lam, edof, score = select_lambda_gcv(fit)
+    lam, edof, score, _ = select_lambda_gcv(fit)
     grid = default_lambda_grid()
     grid_scores = [fit.gcv(g) for g in grid]
     assert score <= min(grid_scores) * (1 + 1e-12)
@@ -571,6 +593,29 @@ def test_model_json_roundtrip():
     assert back.diagnostics["seed"] == 9
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("weights", float("nan"), "weights, lambda and edof must be finite"),
+    ("weights", float("inf"), "weights, lambda and edof must be finite"),
+    ("lambda", float("nan"), "weights, lambda and edof must be finite"),
+    ("lambda", float("inf"), "weights, lambda and edof must be finite"),
+    ("lambda", -1e-3, "weights, lambda and edof must be finite"),
+    ("edof", float("nan"), "weights, lambda and edof must be finite"),
+    ("L1", float("nan"), "finite and positive"),
+    ("c", float("inf"), "finite and positive"),
+    ("N", True, "N must be an integer"),
+])
+def test_model_json_rejects_non_finite_values(key, value, message):
+    # Python's json reads NaN and Infinity, so a model file can carry them
+    model = fit_spectral_model(WaveProblem(ic="polynomial"), N=1, m=30, seed=0)
+    doc = json.loads(model.to_json())
+    if key == "weights":
+        doc["weights"][0] = value
+    else:
+        doc[key] = value
+    with pytest.raises(ValueError, match=message):
+        SpectralModel.from_json(json.dumps(doc))
+
+
 def test_fit_deterministic():
     prob = WaveProblem(ic="polynomial")
     a = fit_spectral_model(prob, N=4, m=150, seed=2)
@@ -590,7 +635,7 @@ def test_tridiagonal_route_matches_dense_svd_and_normal_equations():
     s_ref = np.linalg.svd(A, compute_uv=False)
     fit = ridge_fit_svd(Phi, u)
     assert fit.factor == "tridiagonal"
-    np.testing.assert_allclose(fit.s, s_ref, rtol=1e-12)
+    np.testing.assert_allclose(_singular_values(fit), s_ref, rtol=1e-12)
     G, b = A.T @ A, A.T @ u
     for lam in default_lambda_grid():
         w_ref = np.linalg.solve(G + lam * np.eye(144), b)
@@ -616,13 +661,16 @@ def test_desk_fit_forms_no_eigenvectors(monkeypatch):
                         lambda *a: fits.append(ridge_fit_svd(*a)) or fits[-1])
     model = fit_spectral_model(WaveProblem(ic="polynomial"), 40, 5000, seed=0)
     d = model.diagnostics
+    assert sorted(d) == sorted(["seed", "factor", "ev_ratio",
+                                "lambda_at_grid_edge", "design_s", "factor_s",
+                                "gcv_s"])
     assert d["factor"] == "tridiagonal"
     assert 1.0 < d["ev_ratio"] < 1e6
     assert d["lambda_at_grid_edge"] is False
     assert float(predict(model, 0.5, 0.5, 0.0)) == pytest.approx(1 / 16, rel=1e-4)
-    # the pivot trace against the spectrum, formed only now that it is read
+    # the pivot trace against the spectrum, formed here from the fit's T
     monkeypatch.undo()
-    s2 = fits[0].s ** 2
+    s2 = _singular_values(fits[0]) ** 2
     assert s2.size == 1600
     for lam in default_lambda_grid():
         assert fits[0].edof(lam) == pytest.approx(np.sum(s2 / (s2 + lam)),
@@ -684,12 +732,54 @@ def test_single_mode_per_direction_fit():
     fit = ridge_fit_svd(Phi, u)
     assert fit.factor == "tridiagonal"
     A = Phi.values
-    np.testing.assert_allclose(fit.s, [np.linalg.norm(A)], rtol=1e-14)
+    np.testing.assert_allclose(_singular_values(fit), [np.linalg.norm(A)],
+                               rtol=1e-14)
     w_ref = (A[:, 0] @ u) / (A[:, 0] @ A[:, 0] + 1e-3)
     np.testing.assert_allclose(fit.coefficients(1e-3), [w_ref], rtol=1e-14)
     model = fit_spectral_model(WaveProblem(ic="polynomial"), 1, 30, seed=2)
     assert model.weights.shape == (1,)
     assert model.diagnostics["ev_ratio"] == 1.0
+
+
+def _end_interval_rule(problem, N, m, seed, lam):
+    """The grid-edge verdict from GCV at the grid's two ends: lambda in an
+    end interval, with the end point's score below its neighbour's (not
+    above it at the large end, where ties go)."""
+    basis = SpectralBasis(N, problem.L1, problem.L2, problem.c)
+    pts = lhs_sample(m, problem.L1, problem.L2, seed=seed)
+    u = problem.initial_condition()(pts[:, 0], pts[:, 1])
+    fit = ridge_fit_svd(build_design_matrix(pts, basis), u)
+    g = default_lambda_grid()
+    return bool((lam < g[1] and fit.gcv(g[0]) < fit.gcv(g[1]))
+                or (lam > g[-2] and fit.gcv(g[-1]) <= fit.gcv(g[-2])))
+
+
+@pytest.mark.parametrize("ic", ["polynomial", "mollifier"])
+@pytest.mark.parametrize("N, m", [(8, 64), (12, 120)])
+def test_grid_edge_flag_matches_the_end_interval_rule(ic, N, m):
+    problem = WaveProblem(ic=ic)
+    at_edge = []
+    for seed in range(10):
+        model = fit_spectral_model(problem, N, m, seed)
+        edge = model.diagnostics["lambda_at_grid_edge"]
+        assert edge is _end_interval_rule(problem, N, m, seed, model.lam)
+        if edge:
+            at_edge.append(seed)
+            assert model.lam < default_lambda_grid()[1]
+    # the low-edge fits among these 40
+    assert at_edge == {("polynomial", 8): [3], ("mollifier", 12): [9]}.get(
+        (ic, N), [])
+
+
+def test_in_range_data_select_the_smallest_grid_lambda():
+    # u = A w lies in col(A), so the residual is lam^2-small and GCV grows
+    # with lam; this design keeps the fit exact (nothing outside the range)
+    A = np.vstack([np.diag([1.0, 2.0, 4.0]), np.zeros((3, 3))])
+    fit = ridge_fit_svd(A, A @ np.array([1.0, -1.0, 2.0]))
+    assert fit.out_of_range == 0.0
+    lam, _, _, at_edge = select_lambda_gcv(fit)
+    assert lam == default_lambda_grid()[0] == 1e-12
+    assert at_edge is True
 
 
 def test_zero_samples_report_grid_edge_lambda():
