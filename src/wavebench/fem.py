@@ -12,12 +12,9 @@ factorizing only the left-hand matrix: one sparse LU in nested-dissection
 order, reused every step, so a step is one product with M and one solve;
 the Taylor start solves with M by conjugate gradients. See `cn_steps` for
 the update behind the published tables.
-
-M and K commute with the mesh's point reflection J and, on a square grid of
-a square, its transpose S and anti-transpose JS, so a start that some of
-them keep steps on their orbits (`cn_steps`): the polynomial and the
-single mode on a quarter of the unknowns, the default mollifier (JS) on
-half.
+A start that mesh symmetries keep steps on their orbits (`cn_steps`): the
+polynomial and the single mode on a quarter of the unknowns, the default
+mollifier on half.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ _CG_MAXITER = 200
 # L1 != L2), under J, S and JS, and 12.7 eps for the default mollifier
 # under JS, whose odd part under J and S is 0.5 max|u0|.
 _EVEN_ROUNDOFF = 16
+_J, _S, _JS = 1, 2, 4   # a group: the sum of its non-identity elements' bits
 
 
 def interior_values(fn, mesh: Mesh) -> np.ndarray:
@@ -161,7 +159,8 @@ def p1_interpolate(grid: np.ndarray, L1: float, L2: float, x, y) -> np.ndarray:
 
 
 def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
-             stats: dict | None = None, paper_update: bool = False):
+             stats: dict | None = None, paper_update: bool = False,
+             group: int | None = None):
     """Generator of snapshots U^0, U^1, ... of the implicit wave update.
 
     By default the stiffness term is averaged over the outer levels,
@@ -186,36 +185,34 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
     cond(M) <= 4 on every mesh `build_structured_mesh` makes.
     `stats["cg_iters"]` counts its iterations (0 with paper_update).
 
-    Starts that a mesh symmetry keeps step on its orbits. J,
-    (x, y) -> (L1 - x, L2 - y), reverses the unknown vector; on a square
-    unknown grid the transpose S and the anti-transpose JS permute it too.
-    `_orbits` keeps each that commutes exactly with M and K and moves u0 by
-    at most _EVEN_ROUNDOFF eps max|u0|; every level is then unchanged by
-    the group G they generate: U = P V, with V one value per orbit of G and
-    P the n x h embedding that copies it to the orbit's members. After the
-    full-space Taylor start both updates run on A_e = A[first] P and
-    M_e = M[first] P, `first` being each orbit's smallest member; A_e is a
-    diagonal scaling of the SPD P^T A P, so diagonal pivots serve. The
-    orbits are numbered in elimination order: `_nested_dissection`'s order
-    of the whole grid restricted to the smallest members, with the middle
-    grid row, which J folds onto itself, cut first when J is in G
-    (restriction alone gives 18% more fill at 200 x 120). The factor holds
-    about a fifth of A's nonzeros under J, S and JS (the polynomial and the
-    single mode on a square) and about half under J or JS alone (the
-    default mollifier keeps JS). With no symmetry kept P is the identity.
-    Each level is yielded as the full vector P V. A non-finite u0 raises
-    ValueError before the first level.
+    Starts that mesh symmetries keep (`_symmetry_group`) step on their
+    orbits (`_orbits`): U = P V, V one value per orbit and P the n x h
+    embedding that copies it to the members. After the full-space Taylor
+    start both updates run on A_e = A[first] P and M_e = M[first] P, A_e a
+    diagonal scaling of the SPD P^T A P, so diagonal pivots serve; the
+    factor holds about a fifth of A's nonzeros under J, S and JS and about
+    half under one of them. Each level is yielded as P V, or, given the
+    `group` u0 keeps, as one value per orbit of the nodal grid
+    (`_node_orbits`), level 0 read at the smallest members `first`. A
+    non-finite u0 raises ValueError before the first level.
     """
     if not np.all(np.isfinite(u0)):
         raise ValueError("non-finite initial values")
     if stats is None:
         stats = {}
     stats.update({"factorizations": 0, "solves": 0, "spmv": 0, "cg_iters": 0})
-    yield u0
-
-    n = len(u0)
-    orbit, first = _orbits(sys, u0)
+    nodal = group is not None
+    if not nodal:
+        yield u0
+        group = _symmetry_group(sys, u0)
+    n, mesh = len(u0), sys.mesh
+    orbit, first = _orbits(mesh.nx, mesh.ny, group)
     h = len(first)
+    if nodal:
+        index, size = _node_orbits(mesh.nx, mesh.ny, group)
+        # each orbit's node orbit: distinct, so bincount scatters into zeros
+        slots = index.reshape(mesh.ny + 1, -1)[1:-1, 1:-1].ravel()[first]
+        yield np.bincount(slots, u0[first], size)
     P = sp.csr_matrix((np.ones(n), (np.arange(n), orbit)), shape=(n, h))
     M, K = sys.M[first] @ P, sys.K[first] @ P
     A = (M + sys.c**2 * dt**2 / 2.0 * K).tocsc()
@@ -237,7 +234,7 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
         stats["spmv"] += 1
     prev, curr = prev[first], curr[first]
     while True:
-        yield curr[orbit]
+        yield np.bincount(slots, curr, size) if nodal else curr[orbit]
         if paper_update:        # 2M - aK = 3M - A
             rhs, lag = M @ (3.0 * curr - prev), curr
         else:
@@ -247,42 +244,64 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
         stats["spmv"] += 1
 
 
-def _orbits(sys: FemSystem, u0: np.ndarray):
-    """Orbits of the unknowns under the mesh symmetries that u0 keeps.
-
-    The candidates are J, and S and JS on a square unknown grid (see
-    `cn_steps`); one is kept when M and K commute with it exactly and it
-    changes u0 by at most _EVEN_ROUNDOFF eps max|u0| (NaN fails). Returns
-    (orbit, first): orbit[p] numbers unknown p's orbit in elimination
-    order, and first[k] is the smallest member of orbit k.
-    """
-    nx, ny = sys.mesh.nx - 1, sys.mesh.ny - 1
-    n = nx * ny
-    grid = np.arange(n).reshape(ny, nx)
-    J = grid[::-1, ::-1]
-    candidates = [J, grid.T, J.T] if nx == ny else [J]
+def _symmetry_group(sys: FemSystem, u0: np.ndarray) -> int:
+    """The group of mesh symmetries that u0 keeps: J, (x, y) -> (L1 - x,
+    L2 - y), and on a square grid the transpose S and anti-transpose JS, each
+    kept if M and K commute with it and it moves u0 by <= _EVEN_ROUNDOFF eps
+    max|u0| (NaN fails)."""
     tol = _EVEN_ROUNDOFF * np.finfo(float).eps * np.max(np.abs(u0), initial=0)
-    rep = np.arange(n)      # smallest member of each unknown's orbit so far
-    kept = 0
-    for g in candidates:
-        if kept == 2:
-            break   # J and S generate JS: rep is the minimum over all four
-        g = g.ravel()
+    group = 0
+    for bit, g in _maps(sys.mesh.ny - 1, sys.mesh.nx - 1):
         if (np.max(np.abs(u0 - u0[g]), initial=0) <= tol and not any(
                 (B[g][:, g] != B).nnz for B in (sys.M, sys.K))):
-            # the group is abelian and each generator its own inverse
-            rep = np.minimum(rep, rep[g])
-            kept += 1
+            if group:
+                return _J | _S | _JS        # any two generate all four
+            group = bit
+    return group
 
-    if n and np.array_equal(rep, rep[::-1]):       # J is in the group
+
+def _maps(rows: int, cols: int) -> list:
+    """(bit, map) of J, and of S and JS on a square, on a row-major grid."""
+    grid = np.arange(rows * cols).reshape(rows, cols)
+    J = grid[::-1, ::-1]
+    maps = [(_J, J), (_S, grid.T), (_JS, J.T)] if rows == cols else [(_J, J)]
+    return [(bit, g.ravel()) for bit, g in maps]
+
+
+def _smallest_members(rows: int, cols: int, group: int) -> np.ndarray:
+    """Smallest index in each point's orbit under `group` (abelian, each
+    element its own inverse) on a row-major grid."""
+    rep = np.arange(rows * cols)
+    for bit, g in _maps(rows, cols):
+        rep = np.minimum(rep, rep[g]) if group & bit else rep
+    return rep
+
+
+def _orbits(nx: int, ny: int, group: int):
+    """(orbit, first) of the unknowns of the nx x ny mesh under `group`:
+    orbit[p] numbers p's orbit, first[k] is orbit k's smallest member, in
+    `_nested_dissection`'s order restricted to them, with the middle row,
+    which J folds onto itself, cut first (else 18% more fill at 200 x 120)."""
+    nx, ny = nx - 1, ny - 1
+    n = nx * ny
+    rep = _smallest_members(ny, nx, group)
+    if n and group & _J:
         mid = (ny - 1) // 2     # the rows above it hold no smallest member
-        order = np.r_[_nested_dissection(nx, mid), grid[mid]]
+        order = np.r_[_nested_dissection(nx, mid), mid * nx + np.arange(nx)]
     else:
         order = _nested_dissection(nx, ny)
     first = order[rep[order] == order]
     number = np.empty(n, dtype=np.intp)
     number[first] = np.arange(len(first))
     return number[rep], first
+
+
+def _node_orbits(nx: int, ny: int, group: int):
+    """(index, K): the orbit of each node of the (ny+1) x (nx+1) grid under
+    `group`, numbered by smallest row-major node, and the orbit count."""
+    rep = _smallest_members(ny + 1, nx + 1, group)
+    number = np.cumsum(rep == np.arange(rep.size)) - 1
+    return number[rep], int(number[-1]) + 1
 
 
 def _nested_dissection(nx: int, ny: int) -> np.ndarray:

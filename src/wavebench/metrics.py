@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fem import _at_time
 from .mesh import Mesh, _locate_cells
 
 __all__ = [
@@ -83,20 +84,20 @@ def sample_reference(ref, mesh: Mesh, Nt_eval: int = 200):
 
     Returns (mesh, values): values[n] holds the reference at the points of
     `mesh_quadrature(mesh)` at the n-th of the Nt_eval + 1 evaluation
-    times, read with one `ref.at_time` call per time.
+    times, read from `ref.levels` through the orbits of the corner nodes.
     """
     times = np.linspace(0.0, ref.problem.T, Nt_eval + 1)
     pts, _ = mesh_quadrature(mesh)
     # located once for all times; raises off the reference's rectangle
-    ix, iy, s, r = _locate_cells(ref.values.shape[1:], ref.problem.L1,
+    W = ref.grid_nx + 1
+    ix, iy, s, r = _locate_cells((ref.grid_ny + 1, W), ref.problem.L1,
                                  ref.problem.L2, pts[:, 0], pts[:, 1])
-    W = ref.values.shape[2]
-    corners = iy * W + ix + np.array([[0], [1], [W], [W + 1]])
+    corners = ref.node_orbits[iy * W + ix + np.array([[0], [1], [W], [W + 1]])]
     weights = np.array([(1 - s) * (1 - r), s * (1 - r), (1 - s) * r, s * r])
     values = np.empty((Nt_eval + 1, len(pts)))
     for n, t in enumerate(times):
-        np.einsum("kp,kp->p", ref.at_time(t).reshape(-1)[corners], weights,
-                  out=values[n])
+        level = _at_time(ref.levels, t, ref.dt_ref, ref.problem.T)
+        np.einsum("kp,kp->p", level[corners], weights, out=values[n])
     return mesh, values
 
 

@@ -1,24 +1,15 @@
 """Fine-grid reference solutions and their binary cache format.
 
-The reference is a Crank-Nicolson P1 run on a fine structured grid, stored
-as full nodal slices (boundary rows exactly zero). Cache files use the
-"WBEN" format: magic, u32 version, u32 {nx, ny, Nt}, f64 {L1, L2, c, T, dt},
-the value array time-major then y-major then x, and an 8-byte trailer.
-In format version 3 the trailer is a two-level SHA-256 tree,
-sha256(header || sha256(level_0) || ... || sha256(level_Nt))[:8], which
-covers every byte in order. The loader reads the levels with positioned
-reads and hashes them in a thread pool (os.pread and hashlib release the
-GIL), so a load keeps about one level per CPU resident; it maps the values
-only after the checksum has passed, through the file it verified. Version
-2 files are rejected.
-
-Generation streams slice by slice into a private temporary file. The
-stepping thread writes each level; one worker thread hashes it in memory
-and again as read back from the file, while the next level is solved, so
-at most _IN_FLIGHT levels are held. After the last level the writer checks
-the header, size and trailer read back from the file, as a load does, and
-maps the file only then; it renames the file onto the cache path last, so
-a file is verified and mapped before it is published.
+The reference is a Crank-Nicolson P1 run on a fine structured grid. Each
+level holds one value per orbit of the nodal grid under the mesh
+symmetries its start keeps (`fem._node_orbits`); `values` and `at_time`
+expand them. A "WBEN" cache file (format version 4; see README) holds a
+header, the levels and the root of a two-level SHA-256 tree over them. A
+load hashes the levels in a thread pool and maps them only once the
+checksum has passed. A build streams each level into a private temporary
+file while a worker thread hashes it in memory and as read back, at most
+_IN_FLIGHT levels held, and checks the file as a load does before it maps
+it and renames it into the cache.
 """
 
 from __future__ import annotations
@@ -38,7 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from .fem import FemSystem, _at_time, cn_steps, interior_values
+from .fem import (FemSystem, _at_time, _node_orbits, _symmetry_group,
+                  cn_steps, interior_values)
 from .mesh import build_structured_mesh
 from .problem import WaveProblem
 
@@ -53,8 +45,8 @@ __all__ = [
 log = logging.getLogger("wavebench")
 
 MAGIC = b"WBEN"
-VERSION = 3
-_HEADER = struct.Struct("<4sIIII5d")       # magic, ver, nx, ny, Nt, 5 doubles
+VERSION = 4
+_HEADER = struct.Struct("<4s6I5d12s")   # 80 bytes: the values are aligned
 _IN_FLIGHT = 8          # levels a writer holds until the worker checks them
 
 try:                    # glibc only; other C libraries have no such call
@@ -69,6 +61,12 @@ def _trailer(header: bytes, leaves) -> bytes:
     return hashlib.sha256(header + b"".join(leaves)).digest()[:8]
 
 
+def _ic_digest(problem) -> bytes:
+    """12 bytes of SHA-256 over the initial condition and its parameters."""
+    ident = json.dumps([problem.ic, dict(problem.ic_params)], sort_keys=True)
+    return hashlib.sha256(ident.encode()).digest()[:12]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -81,29 +79,49 @@ class CacheError(RuntimeError):
 
 @dataclass
 class ReferenceSolution:
-    """Nodal reference values (Nt_ref+1, ny+1, nx+1) with problem metadata."""
+    """Levels (Nt_ref+1, K) of one value per orbit of the nodal grid under
+    `group`; a (Nt_ref+1, ny+1, nx+1) array is kept under the trivial one."""
 
     problem: WaveProblem
     grid_nx: int
     grid_ny: int
     dt_ref: float
     Nt_ref: int
-    values: np.ndarray          # possibly a read-only memmap
+    levels: np.ndarray          # possibly a read-only memmap
+    group: int = 0              # bits of fem._J, _S and _JS
     cache: str = "memory"       # "hit", "built", "regenerated" or "memory"
     # seconds to load and verify the file; for a build, from its last
     # level's write to the verified map
     load_s: float | None = None
 
+    def __post_init__(self):
+        if np.ndim(self.levels) == 3:       # every node its own orbit
+            self.levels = np.reshape(self.levels, (len(self.levels), -1))
+
+    @property
+    def node_orbits(self) -> np.ndarray:
+        """Orbit of each node, row-major, built on every read."""
+        return _node_orbits(self.grid_nx, self.grid_ny, self.group)[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """Nodal values (Nt_ref+1, ny+1, nx+1), expanded on every read."""
+        return self._nodal(self.levels)
+
     def at_time(self, t: float) -> np.ndarray:
         """Nodal slice at time t by linear interpolation between levels."""
-        return _at_time(self.values, t, self.dt_ref, self.problem.T)
+        return self._nodal(_at_time(self.levels, t, self.dt_ref,
+                                    self.problem.T))
+
+    def _nodal(self, levels) -> np.ndarray:
+        levels = np.asarray(levels)[..., self.node_orbits]
+        return levels.reshape(levels.shape[:-1] + (self.grid_ny + 1, -1))
 
 
 def write_reference(ref: ReferenceSolution, path) -> None:
-    """Write a complete reference in the WBEN format; the file is verified
-    and mapped before it is renamed onto `path` (atomic)."""
+    """Write `ref` to `path` as a WBEN file, atomically (`_stream_write`)."""
     _stream_write(Path(path), ref.grid_nx, ref.grid_ny, ref.Nt_ref,
-                  ref.problem, ref.dt_ref, iter(ref.values))
+                  ref.problem, ref.dt_ref, iter(ref.levels), ref.group)
 
 
 def _write(fd: int, path, buf) -> None:
@@ -125,18 +143,17 @@ def _level_digest(fd: int, path, offset: int, size: int) -> bytes:
 
 def _check_header(fd: int, path, problem: WaveProblem):
     """Read a WBEN header and check it against the file size and `problem`;
-    returns the header bytes, the file size and (nx, ny, Nt, dt)."""
+    returns the header bytes, the file size and K."""
     size = os.fstat(fd).st_size
     if size < _HEADER.size + 8:
         raise CacheError(f"{path}: truncated cache file")
     header = os.pread(fd, _HEADER.size, 0)
-    magic, ver, nx, ny, Nt, L1, L2, c, T, dt = _HEADER.unpack(header)
+    magic, ver, _, _, Nt, _, K, L1, L2, c, T, _, ic = _HEADER.unpack(header)
     if magic != MAGIC:
         raise CacheError(f"{path}: bad magic {magic!r}")
     if ver != VERSION:
         raise CacheError(f"{path}: unsupported format version {ver}")
-    n_vals = (Nt + 1) * (ny + 1) * (nx + 1)
-    expect = _HEADER.size + 8 * n_vals + 8
+    expect = _HEADER.size + 8 * K * (Nt + 1) + 8
     if size != expect:
         raise CacheError(f"{path}: size {size}, expected {expect}")
     for name, a, b in (("L1", L1, problem.L1), ("L2", L2, problem.L2),
@@ -144,24 +161,32 @@ def _check_header(fd: int, path, problem: WaveProblem):
         if a != b:
             raise CacheError(f"{path}: stored {name}={a} differs from "
                              f"requested {b}")
-    return header, size, (nx, ny, Nt, dt)
+    if ic != _ic_digest(problem):
+        raise CacheError(f"{path}: stored initial condition differs from "
+                         f"requested {problem.ic} {dict(problem.ic_params)}")
+    return header, size, K
 
 
-def _map_verified(f, path, header: bytes, size: int, leaves) -> np.memmap:
-    """Map the values of the open file `f` once its trailer matches the
-    tree root over `header` and the levels' digests."""
+def _map_verified(f, path, header: bytes, size: int, leaves,
+                  problem) -> ReferenceSolution:
+    """The reference in the open file `f`, its levels mapped once the
+    trailer matches the tree root over `header` and the levels' digests."""
     if _trailer(header, leaves) != os.pread(f.fileno(), 8, size - 8):
         raise CacheError(f"{path}: checksum mismatch")
-    nx, ny, Nt = _HEADER.unpack(header)[2:5]
-    return np.memmap(f, dtype="<f8", mode="r", offset=_HEADER.size,
-                     shape=(Nt + 1, ny + 1, nx + 1))
+    _, _, nx, ny, Nt, group, K, _, _, _, _, dt, _ = _HEADER.unpack(header)
+    levels = np.memmap(f, dtype="<f8", mode="r", offset=_HEADER.size,
+                       shape=(Nt + 1, K))
+    return ReferenceSolution(problem, nx, ny, dt, Nt, levels, group)
 
 
-def _stream_write(path: Path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices):
-    """Write `slices` (not modified once yielded) to a temporary file,
-    verify and map it, and rename it onto `path` (see the module doc)."""
-    header = _HEADER.pack(MAGIC, VERSION, ref_nx, ref_ny, Nt_ref, problem.L1,
-                          problem.L2, problem.c, problem.T, dt_ref)
+def _stream_write(path: Path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices,
+                  group=0):
+    """Write `slices`, levels of orbit values under `group` not modified once
+    yielded, to a temporary file, verify, map and rename it onto `path`."""
+    header = _HEADER.pack(MAGIC, VERSION, ref_nx, ref_ny, Nt_ref, group,
+                          _node_orbits(ref_nx, ref_ny, group)[1], problem.L1,
+                          problem.L2, problem.c, problem.T, dt_ref,
+                          _ic_digest(problem))
     # a private temp file per writer, so concurrent writers never share one
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name,
                                suffix=".tmp")
@@ -190,36 +215,32 @@ def _stream_write(path: Path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices):
             t0 = time.perf_counter()
             leaves += [p.result() for p in pending]
             _write(fd, tmp, _trailer(header, leaves))
-            back, size, (nx, ny, Nt, dt) = _check_header(fd, tmp, problem)
-            values = _map_verified(f, tmp, back, size, leaves)
+            back, size, _ = _check_header(fd, tmp, problem)
+            ref = _map_verified(f, tmp, back, size, leaves, problem)
         os.replace(tmp, path)
-        return ReferenceSolution(problem, nx, ny, dt, Nt, values, "built",
-                                 time.perf_counter() - t0)
+        ref.cache, ref.load_s = "built", time.perf_counter() - t0
+        return ref
     except BaseException:
         os.unlink(tmp)
         raise
 
 
 def load_reference(path, problem: WaveProblem) -> ReferenceSolution:
-    """Verify a WBEN file by reading it, then memory-map its values.
-
-    Magic, version, size and metadata are checked before any hashing.
-    Only a file whose checksum matches is mapped, through the same open
-    file, so a file renamed onto `path` meanwhile is never returned.
-    """
+    """Verify a WBEN file by reading it, header first, then map its levels
+    through the same open file, only if the checksum matches: a file renamed
+    onto `path` meanwhile is never returned."""
     t0 = time.perf_counter()
     path = Path(path)
     with open(path, "rb") as f:
         fd = f.fileno()
-        header, size, (nx, ny, Nt, dt) = _check_header(fd, path, problem)
-        level = 8 * (ny + 1) * (nx + 1)
+        header, size, K = _check_header(fd, path, problem)
         with ThreadPoolExecutor(_usable_cpus()) as pool:
             leaves = list(pool.map(
-                lambda off: _level_digest(fd, path, off, level),
-                range(_HEADER.size, size - 8, level)))
-        values = _map_verified(f, path, header, size, leaves)
-    return ReferenceSolution(problem, nx, ny, dt, Nt, values, "hit",
-                             time.perf_counter() - t0)
+                lambda off: _level_digest(fd, path, off, 8 * K),
+                range(_HEADER.size, size - 8, 8 * K)))
+        ref = _map_verified(f, path, header, size, leaves, problem)
+    ref.cache, ref.load_s = "hit", time.perf_counter() - t0
+    return ref
 
 
 @functools.cache
@@ -258,13 +279,11 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
                        dt_ref: float, cache_dir=None) -> ReferenceSolution:
     """Run the fine-grid solver, caching the result on disk.
 
-    With `cache_dir` set, an existing valid cache file is loaded instead of
-    recomputing; a missing file is built, and a corrupt one, or one of
-    another grid or step count, regenerated with a warning on the
-    `wavebench` logger. The result's `cache` says
-    which of these happened. The solve streams each time level to disk,
-    and a build logs its progress with an ETA on the `wavebench` logger at
-    INFO, about every tenth of its levels.
+    With `cache_dir` set, a valid cache file is loaded; a missing one is
+    built, and a corrupt one or one of another grid, step count or initial
+    condition regenerated with a warning on the `wavebench` logger; the
+    result's `cache` says which. A build logs its progress with an ETA at
+    INFO about every tenth of its levels.
     """
     Nt_ref = step_count(problem.T, dt_ref)
     path = None
@@ -291,13 +310,14 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
     mesh = build_structured_mesh(problem.L1, problem.L2, ref_nx, ref_ny)
     sys = FemSystem.build(mesh, problem.c)
     u0 = interior_values(problem.initial_condition(), mesh)
+    group = _symmetry_group(sys, u0)
 
     def slices():
         t0 = time.perf_counter()
         every = max(Nt_ref // 10, 1)
-        steps = cn_steps(sys, u0, dt_ref)
+        steps = cn_steps(sys, u0, dt_ref, group=group)
         for k in range(Nt_ref + 1):
-            yield mesh.full_grid(next(steps))
+            yield next(steps)
             if k and (k % every == 0 or k == Nt_ref):
                 elapsed = time.perf_counter() - t0
                 log.info("reference %dx%d: level %d of %d, %.1f s, ETA %.1f s",
@@ -305,20 +325,20 @@ def generate_reference(problem: WaveProblem, ref_nx: int, ref_ny: int,
                          elapsed * (Nt_ref - k) / k)
         steps.close()
         if _malloc_trim is not None:
-            # SuperLU sizes its work arrays from nnz(A), and once glibc's
-            # mmap threshold has risen they come from a heap it does not
-            # trim. The next build's factor, sized by the orbits its start
-            # steps on, would place its own elsewhere and keep both sets of
-            # pages resident (+5 MB peak over 100 x 100 polynomial and
-            # mollifier builds).
+            # SuperLU's work arrays, sized from nnz(A), come from a heap
+            # glibc does not trim once its mmap threshold has risen, and
+            # the next build's factor would keep both resident (+2.5 MB
+            # peak over 100 x 100 polynomial and mollifier builds).
             _malloc_trim(0)
 
     if path is None:
-        values = np.empty((Nt_ref + 1, ref_ny + 1, ref_nx + 1))
+        levels = np.empty((Nt_ref + 1, _node_orbits(ref_nx, ref_ny, group)[1]))
         for k, sl in enumerate(slices()):
-            values[k] = sl
-        return ReferenceSolution(problem, ref_nx, ref_ny, dt_ref, Nt_ref, values)
+            levels[k] = sl
+        return ReferenceSolution(problem, ref_nx, ref_ny, dt_ref, Nt_ref,
+                                 levels, group)
 
-    ref = _stream_write(path, ref_nx, ref_ny, Nt_ref, problem, dt_ref, slices())
+    ref = _stream_write(path, ref_nx, ref_ny, Nt_ref, problem, dt_ref,
+                        slices(), group)
     ref.cache = event
     return ref

@@ -2,12 +2,12 @@
 
 The first three criteria reproduce the published accuracy tables at full
 scale (400 x 400 reference, N = 40, m = 5000). On a cold cache the whole
-Tier-1 run took 28-29 s on a 2-vCPU VM, 18.5-19 s of it in the
+Tier-1 run took 20-23 s on a 2-vCPU VM, 10-15 s of it in the
 `paper_references` fixture, which builds both 400 x 400 references side by
 side in two processes (alone, the polynomial's build, on a quarter of the
-unknowns, takes 7.3-8.9 s and the mollifier's, on half, 15 s). They are cached
-under /tmp/wbench and reused afterwards, when Tier-1 took 10-11 s and this
-file alone 4 s. The matched FEM solve uses the one-sided stiffness average
+unknowns, takes 5.9 s and the mollifier's, on half, 12.5 s). They are cached
+under /tmp/wbench, 0.26 and 0.52 GB, and reused afterwards, when Tier-1
+took 8.5-13 s. The matched FEM solve uses the one-sided stiffness average
 (`paper_update`) that those tables were produced with; the conserving
 scheme is exercised separately by criteria 6 and 7.
 """

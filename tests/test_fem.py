@@ -357,7 +357,8 @@ def test_reflection_commutes_with_mass_and_stiffness(nx, ny, L1, L2):
             np.testing.assert_array_equal(B.toarray()[g][:, g], B.toarray())
     # a constant start keeps every map that M and K commute with, and only
     # those: on the 1 x 2 rectangle S and JS scale K's x and y couplings
-    orbit, first = fem._orbits(sys, np.ones(n))
+    group = fem._symmetry_group(sys, np.ones(n))
+    orbit, first = fem._orbits(nx, ny, group)
     assert len(first) == (_orbit_count(nx - 1) if len(maps) == 3
                           else (n + 1) // 2)
     np.testing.assert_array_equal(orbit[first], np.arange(len(first)))
@@ -465,7 +466,7 @@ def test_orbits_match_every_kept_symmetry(n, start):
     elif start == "transpose":
         v = np.random.default_rng(n).random((n - 1, n - 1))
         u0 = (v + v.T).ravel()
-    orbit, first = fem._orbits(sys, u0)
+    orbit, first = fem._orbits(n, n, fem._symmetry_group(sys, u0))
     np.testing.assert_array_equal(first[orbit], _kept_orbits(sys, u0))
 
 
@@ -587,6 +588,7 @@ def test_non_finite_start_fails_before_any_step(paper_update, bad, monkeypatch):
     u0 = np.zeros(sys.M.shape[0])
     u0[5] = bad
     monkeypatch.setattr(fem, "_orbits", None)
+    monkeypatch.setattr(fem, "_symmetry_group", None)
     monkeypatch.setattr(fem, "_mass_solve", None)
     with pytest.raises(ValueError, match="non-finite initial values"):
         cn_solve(sys, u0, 0.1, 10, paper_update)

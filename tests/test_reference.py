@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import json
 import logging
 import os
 import re
@@ -18,6 +19,9 @@ import numpy as np
 import pytest
 
 from wavebench import reference
+from wavebench.fem import FemSystem, _at_time, cn_steps, interior_values
+from wavebench.mesh import build_structured_mesh
+from wavebench.metrics import sample_reference
 from wavebench.problem import WaveProblem
 from wavebench.reference import (MAGIC, VERSION, CacheError, ReferenceSolution,
                                  generate_reference, write_reference,
@@ -55,29 +59,43 @@ def test_at_time_interpolates_linearly():
         ref.at_time(1.5)
 
 
+def _smallest_members(n):
+    """Smallest row-major index in each orbit of an n x n nodal grid under
+    J, S and JS, in increasing order."""
+    return sorted({min(r * n + c, (n - 1 - r) * n + n - 1 - c, c * n + r,
+                       (n - 1 - c) * n + n - 1 - r)
+                   for r in range(n) for c in range(n)})
+
+
 def test_header_layout(tmp_path):
     prob, ref = _small_ref()
     path = tmp_path / "ref.wben"
     write_reference(ref, path)
     raw = path.read_bytes()
-    magic, ver, nx, ny, Nt = struct.unpack_from("<4sIIII", raw)
+    magic, ver, nx, ny, Nt, group, K = struct.unpack_from("<4s6I", raw)
     assert magic == MAGIC == b"WBEN"
-    assert ver == VERSION == 3
+    assert ver == VERSION == 4
     assert (nx, ny, Nt) == (6, 6, 12)
-    L1, L2, c, T, dt = struct.unpack_from("<5d", raw, 20)
+    # the polynomial keeps J, S and JS, which fold the 49 nodes into 16 orbits
+    first = _smallest_members(7)
+    assert (group, K) == (7, 16) and len(first) == 16
+    L1, L2, c, T, dt = struct.unpack_from("<5d", raw, 28)
     assert (L1, L2, c, T) == (1.0, 1.0, 1.0, 1.0)
     assert dt == pytest.approx(1.0 / 12)
-    n_vals = 13 * 7 * 7
-    assert len(raw) == 60 + 8 * n_vals + 8
-    # values are little-endian f64, time-major
-    vals = np.frombuffer(raw, dtype="<f8", count=n_vals, offset=60)
-    np.testing.assert_array_equal(vals.reshape(13, 7, 7), ref.values)
+    ident = json.dumps(["polynomial", {}]).encode()
+    assert raw[68:80] == hashlib.sha256(ident).digest()[:12]
+    assert len(raw) == 80 + 8 * 13 * 16 + 8
+    # values are little-endian f64, time-major, one per orbit in the order
+    # of the orbits' smallest nodes
+    vals = np.frombuffer(raw, dtype="<f8", count=13 * 16, offset=80)
+    np.testing.assert_array_equal(vals.reshape(13, 16),
+                                  ref.values.reshape(13, 49)[:, first])
     # the trailer is sha256(header || sha256(level_0) || ... )[:8]
-    level = 8 * 7 * 7
+    level = 8 * 16
     leaves = b"".join(hashlib.sha256(raw[s:s + level]).digest()
-                      for s in range(60, len(raw) - 8, level))
+                      for s in range(80, len(raw) - 8, level))
     assert len(leaves) == 13 * 32
-    assert raw[-8:] == hashlib.sha256(raw[:60] + leaves).digest()[:8]
+    assert raw[-8:] == hashlib.sha256(raw[:80] + leaves).digest()[:8]
 
 
 def test_roundtrip(tmp_path):
@@ -111,9 +129,9 @@ def _written(tmp_path):
 
 def test_swapped_levels_detected(tmp_path):
     prob, path, raw = _written(tmp_path)
-    level = 8 * 7 * 7
-    a = slice(60 + level, 60 + 2 * level)
-    b = slice(60 + 2 * level, 60 + 3 * level)
+    level = 8 * 16
+    a = slice(80 + level, 80 + 2 * level)
+    b = slice(80 + 2 * level, 80 + 3 * level)
     assert raw[a] != raw[b]
     raw[a], raw[b] = raw[b], raw[a]
     path.write_bytes(bytes(raw))
@@ -123,7 +141,7 @@ def test_swapped_levels_detected(tmp_path):
 
 def test_stored_dt_change_detected(tmp_path):
     prob, path, raw = _written(tmp_path)
-    raw[52] ^= 0x01             # lowest byte of dt, the header's last double
+    raw[60] ^= 0x01             # lowest byte of dt, the header's last double
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheError, match="checksum"):
         load_reference(path, prob)
@@ -131,7 +149,7 @@ def test_stored_dt_change_detected(tmp_path):
 
 def test_last_level_change_detected(tmp_path):
     prob, path, raw = _written(tmp_path)
-    raw[-8 - 8 * 25] ^= 0xFF        # the centre node of level Nt
+    raw[-8 - 8] ^= 0xFF         # the centre node of level Nt, the last orbit
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheError, match="checksum"):
         load_reference(path, prob)
@@ -276,14 +294,14 @@ def test_failed_write_removes_its_temp_file(tmp_path):
         assert set(threading.enumerate()) == threads
 
 
-_LEVEL = 8 * 7 * 7          # bytes of one level of the 6 x 6 reference
+_LEVEL = 8 * 16         # bytes of one level of the 6 x 6 reference: 16 orbits
 
 
 @pytest.mark.parametrize("offset, at, match", [
-    (60 + 2 * _LEVEL, 0, "level at byte 844 reads back changed"),
-    (0, 52, "checksum mismatch"),           # dt, the header's last double
-    (60 + 13 * _LEVEL, 7, "checksum mismatch"),         # the trailer
-])
+    (80 + 2 * _LEVEL, 0, "level at byte 336 reads back changed"),
+    (0, 60, "checksum mismatch"),           # dt, the header's last double
+    (80 + 13 * _LEVEL, 7, "checksum mismatch"),         # the trailer
+], ids=["level", "dt", "trailer"])
 def test_write_that_reads_back_changed_is_not_published(tmp_path, monkeypatch,
                                                          offset, at, match):
     # the writer checks the bytes it reads back from its temporary file,
@@ -307,9 +325,9 @@ def test_write_that_reads_back_changed_is_not_published(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("call, error, match", [
-    ("write", OSError, "short write, 59 of 60 bytes"),       # the header
-    ("pread", CacheError, "short read, 391 of 392 bytes at byte 60"),
-])
+    ("write", OSError, "short write, 79 of 80 bytes"),       # the header
+    ("pread", CacheError, "short read, 127 of 128 bytes at byte 80"),
+], ids=["write", "pread"])
 def test_short_write_or_read_is_an_error(tmp_path, monkeypatch, call, error,
                                          match):
     prob, ref = _small_ref()
@@ -643,3 +661,128 @@ def test_dt_validation():
     for dt in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
             generate_reference(prob, 6, 6, dt)
+
+
+# ---------------------------------------------------------------------------
+# one stored value per orbit of the nodal grid
+
+def _stepped(problem, nx, ny, dt):
+    """`mesh.full_grid` of every level `cn_steps` yields for `problem`."""
+    mesh = build_structured_mesh(problem.L1, problem.L2, nx, ny)
+    sys = FemSystem.build(mesh, problem.c)
+    u0 = interior_values(problem.initial_condition(), mesh)
+    steps = cn_steps(sys, u0, dt)
+    levels = [next(steps) for _ in range(round(problem.T / dt) + 1)]
+    steps.close()
+    return mesh.full_grid(np.array(levels))
+
+
+def _orbit_values_of(ref):
+    """Each node's value at its orbit's smallest node, per level."""
+    index = ref.node_orbits
+    _, smallest = np.unique(index, return_index=True)
+    full = ref.values.reshape(len(ref.values), -1)
+    return full[:, smallest[index]].reshape(ref.values.shape)
+
+
+# orbits of the nodal grid: J, S and JS fold (n+1)^2 nodes into
+# ((n+1)^2 + [n even] + 2 (n+1)) / 4 orbits, JS alone into
+# ((n+1)^2 + n + 1) / 2, and J alone on the 24 x 16 grid into (425 + 1) / 2
+@pytest.mark.parametrize("ic, params, nx, ny, K", [
+    ("polynomial", {}, 16, 16, 81), ("polynomial", {}, 100, 100, 2601),
+    ("single_mode", {}, 16, 16, 81), ("single_mode", {}, 100, 100, 2601),
+    ("mollifier", {}, 16, 16, 153), ("mollifier", {}, 100, 100, 5151),
+    ("polynomial", {}, 24, 16, 213), ("single_mode", {}, 24, 16, 213),
+    ("mollifier", {"x0": 0.3, "y0": 0.6}, 100, 100, 101 * 101),
+])
+def test_reference_stores_one_value_per_orbit(tmp_path, ic, params, nx, ny,
+                                              K):
+    problem = WaveProblem(ic=ic, ic_params=params)
+    dt = 1.0 / 40
+    expect = _stepped(problem, nx, ny, dt)
+    eps = np.finfo(float).eps * np.max(np.abs(expect[0]))
+    built = generate_reference(problem, nx, ny, dt, tmp_path)
+    path = tmp_path / cache_filename(problem, nx, ny, 40)
+    # header, K values per level and the trailer, nothing else
+    assert path.stat().st_size == 80 + 8 * K * 41 + 8
+    for ref in (generate_reference(problem, nx, ny, dt), built,
+                load_reference(path, problem)):
+        assert ref.levels.shape == (41, K)
+        got = ref.values
+        assert got.shape == expect.shape
+        # every level after the start is copied from its orbits exactly
+        np.testing.assert_array_equal(got[1:], expect[1:])
+        # the start keeps u0's value at each orbit's smallest node, which
+        # moves the other members by their round-off asymmetry only
+        np.testing.assert_array_equal(got, _orbit_values_of(ref))
+        np.testing.assert_allclose(got[0], expect[0], rtol=0, atol=16 * eps)
+        for t in (0.0, 0.3, 1.0):
+            np.testing.assert_array_equal(ref.at_time(t), _at_time(
+                got, t, dt, 1.0))
+
+
+def test_no_symmetry_kept_stores_every_node():
+    problem = WaveProblem(ic="mollifier", ic_params={"x0": 0.3, "y0": 0.6})
+    ref = generate_reference(problem, 16, 16, 1.0 / 16)
+    assert ref.group == 0
+    np.testing.assert_array_equal(ref.levels, _stepped(
+        problem, 16, 16, 1.0 / 16).reshape(17, -1))
+
+
+def test_non_zero_boundary_round_trips(tmp_path):
+    # an array given to the constructor is stored under the trivial group,
+    # boundary and all
+    prob = WaveProblem()
+    values = np.random.default_rng(0).random((5, 4, 7))
+    ref = ReferenceSolution(prob, 6, 3, 0.25, 4, values)
+    assert (ref.group, ref.levels.shape) == (0, (5, 28))
+    write_reference(ref, tmp_path / "ref.wben")
+    back = load_reference(tmp_path / "ref.wben", prob)
+    assert (back.group, back.grid_nx, back.grid_ny) == (0, 6, 3)
+    np.testing.assert_array_equal(back.values, values)
+    np.testing.assert_array_equal(back.at_time(0.375),
+                                  0.5 * (values[1] + values[2]))
+
+
+def test_reference_holds_no_array_but_its_levels(tmp_path):
+    # the node-to-orbit index is built when the values are read and not
+    # kept, so a process holding many references holds no per-node arrays
+    prob = WaveProblem(ic="mollifier")
+    mesh = build_structured_mesh(1.0, 1.0, 4, 4)
+    built = generate_reference(prob, 8, 8, 1.0 / 16, tmp_path)
+    loaded = generate_reference(prob, 8, 8, 1.0 / 16, tmp_path)
+    memory = generate_reference(prob, 8, 8, 1.0 / 16)
+    assert (built.cache, loaded.cache) == ("built", "hit")
+    for ref in (built, loaded, memory):
+        for read in (None, lambda r: r.values, lambda r: r.at_time(0.5),
+                     lambda r: sample_reference(r, mesh, 4)):
+            if read is not None:
+                read(ref)
+            arrays = [v for v in vars(ref).values()
+                      if isinstance(v, np.ndarray)]
+            assert len(arrays) == 1 and arrays[0] is ref.levels
+            assert ref.levels.shape == (17, 45)     # 81 nodes, JS kept
+    assert isinstance(built.levels, np.memmap)
+    assert isinstance(loaded.levels, np.memmap)
+
+
+@pytest.mark.parametrize("stored, requested", [
+    ({"ic": "polynomial"}, {"ic": "mollifier"}),
+    ({"ic": "mollifier"}, {"ic": "polynomial"}),
+    ({"ic": "mollifier"}, {"ic": "mollifier", "ic_params": {"x0": 0.4}}),
+])
+def test_file_of_another_initial_condition_is_regenerated(tmp_path, caplog,
+                                                          stored, requested):
+    stored, requested = WaveProblem(**stored), WaveProblem(**requested)
+    path = tmp_path / cache_filename(requested, 6, 6, 12)
+    write_reference(generate_reference(stored, 6, 6, 1.0 / 12), path)
+    with pytest.raises(CacheError, match="stored initial condition differs"):
+        load_reference(path, requested)
+    with caplog.at_level(logging.WARNING, logger="wavebench"):
+        again = generate_reference(requested, 6, 6, 1.0 / 12, tmp_path)
+    assert (again.cache, again.problem) == ("regenerated", requested)
+    np.testing.assert_array_equal(again.values, generate_reference(
+        requested, 6, 6, 1.0 / 12).values)
+    [record] = caplog.records
+    assert f"requested {requested.ic}" in record.getMessage()
+    assert load_reference(path, requested).cache == "hit"

@@ -248,12 +248,16 @@ def test_both_reports_share_one_reference_read(tmp_path, monkeypatch):
     ref = reference.generate_reference(config.problem(), 32, 32,
                                        config.dt_ref, None)
     times = []
-    at_time = reference.ReferenceSolution.at_time
+    at_time = metrics._at_time
 
-    def counted(self, t):
+    def counted(levels, t, dt, T):
+        assert levels is ref.levels
         times.append(t)
-        return at_time(self, t)
-    monkeypatch.setattr(reference.ReferenceSolution, "at_time", counted)
+        return at_time(levels, t, dt, T)
+    # the reports read the orbit values only, never a nodal slice
+    monkeypatch.setattr(metrics, "_at_time", counted)
+    monkeypatch.setattr(reference.ReferenceSolution, "at_time", None)
+    monkeypatch.setattr(reference.ReferenceSolution, "values", None)
     run_benchmark(config, ref=ref, write_outputs=False)
     assert times == list(np.linspace(0.0, config.T, config.Nt_eval + 1))
 
