@@ -12,9 +12,8 @@ factorizing only the left-hand matrix: one sparse LU in nested-dissection
 order, reused every step, so a step is one product with M and one solve;
 the Taylor start solves with M by conjugate gradients. See `cn_steps` for
 the update behind the published tables.
-A start that mesh symmetries keep steps on their orbits (`cn_steps`): the
-polynomial and the single mode on a quarter of the unknowns, the default
-mollifier on half.
+Only a reference build steps on symmetry orbits (`cn_steps`); the matched
+solve, `cn_solve`, steps every interior unknown.
 """
 
 from __future__ import annotations
@@ -160,8 +159,8 @@ def p1_interpolate(grid: np.ndarray, L1: float, L2: float, x, y) -> np.ndarray:
 
 def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
              stats: dict | None = None, paper_update: bool = False,
-             group: int | None = None):
-    """Generator of snapshots U^0, U^1, ... of the implicit wave update.
+             group: int = 0):
+    """Generator of levels U^0, U^1, ... of the implicit wave update.
 
     By default the stiffness term is averaged over the outer levels,
     M (U^{n+1} - 2 U^n + U^{n-1}) / dt^2 + c^2 K (U^{n+1} + U^{n-1}) / 2 = 0,
@@ -185,34 +184,30 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
     cond(M) <= 4 on every mesh `build_structured_mesh` makes.
     `stats["cg_iters"]` counts its iterations (0 with paper_update).
 
-    Starts that mesh symmetries keep (`_symmetry_group`) step on their
-    orbits (`_orbits`): U = P V, V one value per orbit and P the n x h
-    embedding that copies it to the members. After the full-space Taylor
-    start both updates run on A_e = A[first] P and M_e = M[first] P, A_e a
-    diagonal scaling of the SPD P^T A P, so diagonal pivots serve; the
-    factor holds about a fifth of A's nonzeros under J, S and JS and about
-    half under one of them. Each level is yielded as P V, or, given the
-    `group` u0 keeps, as one value per orbit of the nodal grid
-    (`_node_orbits`), level 0 read at the smallest members `first`. A
-    non-finite u0 raises ValueError before the first level.
+    Each level holds one value per orbit of the nodal grid under `group`
+    (`_node_orbits`), boundary zeros included: under the default 0, the
+    row-major (ny+1) x (nx+1) grid. Only a reference build passes another,
+    the one `_symmetry_group` finds for its u0 and `FemSystem.build`, and
+    steps on the unknowns' orbits (`_orbits`): U = P V, V one value per
+    orbit and P the n x h embedding that copies it to the members. After
+    the full-space Taylor start both updates run on A_e = A[first] P and
+    M_e = M[first] P, A_e a diagonal scaling of the SPD P^T A P, so diagonal
+    pivots serve; the factor holds about a fifth of A's nonzeros under J, S
+    and JS and about half under one. Level 0 is u0 at the smallest members
+    `first`. A non-finite u0 raises ValueError before the first level.
     """
     if not np.all(np.isfinite(u0)):
         raise ValueError("non-finite initial values")
     if stats is None:
         stats = {}
     stats.update({"factorizations": 0, "solves": 0, "spmv": 0, "cg_iters": 0})
-    nodal = group is not None
-    if not nodal:
-        yield u0
-        group = _symmetry_group(sys, u0)
     n, mesh = len(u0), sys.mesh
     orbit, first = _orbits(mesh.nx, mesh.ny, group)
     h = len(first)
-    if nodal:
-        index, size = _node_orbits(mesh.nx, mesh.ny, group)
-        # each orbit's node orbit: distinct, so bincount scatters into zeros
-        slots = index.reshape(mesh.ny + 1, -1)[1:-1, 1:-1].ravel()[first]
-        yield np.bincount(slots, u0[first], size)
+    index, size = _node_orbits(mesh.nx, mesh.ny, group)
+    # each orbit's node orbit: distinct, so bincount scatters into zeros
+    slots = index.reshape(mesh.ny + 1, -1)[1:-1, 1:-1].ravel()[first]
+    yield np.bincount(slots, u0[first], size)
     P = sp.csr_matrix((np.ones(n), (np.arange(n), orbit)), shape=(n, h))
     M, K = sys.M[first] @ P, sys.K[first] @ P
     A = (M + sys.c**2 * dt**2 / 2.0 * K).tocsc()
@@ -234,7 +229,7 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
         stats["spmv"] += 1
     prev, curr = prev[first], curr[first]
     while True:
-        yield np.bincount(slots, curr, size) if nodal else curr[orbit]
+        yield np.bincount(slots, curr, size)
         if paper_update:        # 2M - aK = 3M - A
             rhs, lag = M @ (3.0 * curr - prev), curr
         else:
@@ -244,16 +239,18 @@ def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,
         stats["spmv"] += 1
 
 
-def _symmetry_group(sys: FemSystem, u0: np.ndarray) -> int:
-    """The group of mesh symmetries that u0 keeps: J, (x, y) -> (L1 - x,
-    L2 - y), and on a square grid the transpose S and anti-transpose JS, each
-    kept if M and K commute with it and it moves u0 by <= _EVEN_ROUNDOFF eps
-    max|u0| (NaN fails)."""
+def _symmetry_group(mesh: Mesh, u0: np.ndarray) -> int:
+    """The mesh symmetries that u0 and `FemSystem.build`'s M and K keep:
+    J, (x, y) -> (L1 - x, L2 - y), keeps every stencil, so on every mesh; on
+    a square grid the transpose S and anti-transpose JS swap K's x and y
+    couplings, -hy/hx and -hx/hy, so only where L1 / nx == L2 / ny. Each is
+    kept if it moves u0 by <= _EVEN_ROUNDOFF eps max|u0| (NaN fails)."""
     tol = _EVEN_ROUNDOFF * np.finfo(float).eps * np.max(np.abs(u0), initial=0)
+    square = mesh.L1 / mesh.nx == mesh.L2 / mesh.ny
     group = 0
-    for bit, g in _maps(sys.mesh.ny - 1, sys.mesh.nx - 1):
-        if (np.max(np.abs(u0 - u0[g]), initial=0) <= tol and not any(
-                (B[g][:, g] != B).nnz for B in (sys.M, sys.K))):
+    for bit, g in _maps(mesh.ny - 1, mesh.nx - 1):
+        if ((bit == _J or square)
+                and np.max(np.abs(u0 - u0[g]), initial=0) <= tol):
             if group:
                 return _J | _S | _JS        # any two generate all four
             group = bit
@@ -343,7 +340,8 @@ def _mass_solve(M: sp.csr_matrix, b: np.ndarray, stats: dict) -> np.ndarray:
 
 def cn_solve(sys: FemSystem, u0_nodal: np.ndarray, dt: float, Nt: int,
              paper_update: bool = False) -> FemTrajectory:
-    """Advance the semi-discrete wave system; see `cn_steps` for the update."""
+    """Advance the semi-discrete wave system on all (nx-1)(ny-1) unknowns,
+    which its `stats` count; see `cn_steps` for the update."""
     if not 0 < dt < np.inf:                         # NaN fails it too
         raise ValueError(f"time step must be positive and finite, got {dt}")
     if Nt < 1:
@@ -357,7 +355,8 @@ def cn_solve(sys: FemSystem, u0_nodal: np.ndarray, dt: float, Nt: int,
     snaps = np.empty((Nt + 1, n))
     steps = cn_steps(sys, u0, dt, stats, paper_update)
     for k in range(Nt + 1):
-        snaps[k] = next(steps)
+        level = next(steps).reshape(sys.mesh.ny + 1, -1)
+        snaps[k] = level[1:-1, 1:-1].ravel()
     steps.close()
 
     if not np.all(np.isfinite(snaps)):

@@ -213,7 +213,8 @@ def test_criterion_7_energy_conservation():
     sys = fem.FemSystem.build(mesh, 1.0)
     u0 = fem.interior_values(WaveProblem().initial_condition(), mesh)
     dt = 1.0 / 16
-    gen = fem.cn_steps(sys, u0, dt)
+    gen = (level.reshape(17, -1)[1:-1, 1:-1].ravel()     # U^n of each level
+           for level in fem.cn_steps(sys, u0, dt))
     prev = next(gen)
     curr = next(gen)
     e0 = fem.discrete_energy(sys, prev, curr, dt)

@@ -184,17 +184,22 @@ def _system(n, L=1.0, c=1.0):
     return m, FemSystem.build(m, c)
 
 
+def _unknowns(mesh, level):
+    """U^n: the interior block of a nodal level `cn_steps` yields."""
+    return level.reshape(mesh.ny + 1, -1)[1:-1, 1:-1].ravel()
+
+
 def test_energy_conserved_default_scheme():
     mesh, sys = _system(16)
     u0 = interior_values(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
                          mesh)
     dt = 1.0 / 16
     gen = cn_steps(sys, u0, dt)
-    prev = next(gen)
-    curr = next(gen)
+    prev = _unknowns(mesh, next(gen))
+    curr = _unknowns(mesh, next(gen))
     E0 = discrete_energy(sys, prev, curr, dt)
     for _ in range(1000):
-        prev, curr = curr, next(gen)
+        prev, curr = curr, _unknowns(mesh, next(gen))
         E = discrete_energy(sys, prev, curr, dt)
         assert abs(E - E0) <= 1e-10 * abs(E0)
     gen.close()
@@ -206,11 +211,11 @@ def test_dissipative_scheme_decays_energy():
                          mesh)
     dt = 1.0 / 12
     gen = cn_steps(sys, u0, dt, paper_update=True)
-    prev = next(gen)
-    curr = next(gen)
+    prev = _unknowns(mesh, next(gen))
+    curr = _unknowns(mesh, next(gen))
     energies = [discrete_energy(sys, prev, curr, dt)]
     for _ in range(60):
-        prev, curr = curr, next(gen)
+        prev, curr = curr, _unknowns(mesh, next(gen))
         energies.append(discrete_energy(sys, prev, curr, dt))
     gen.close()
     diffs = np.diff(energies)
@@ -267,7 +272,7 @@ _ORACLE_MESHES = {"": (24, 24, 1.0), "-24x17": (24, 17, 1.0),
 
 # initial data by id suffix: the default mollifier, centred at (0.3, 0.7),
 # keeps JS; centred at (0.3, 0.3) it keeps S, at (0.5, 0.5) and as the
-# polynomial J, S and JS
+# polynomial J, S and JS (on the non-square meshes J only, or nothing)
 _ORACLE_STARTS = {"": ("mollifier", {}), "-polynomial": ("polynomial", {}),
                   "-mollifier-0.3-0.3": ("mollifier", {"x0": 0.3, "y0": 0.3}),
                   "-mollifier-0.5-0.5": ("mollifier", {"x0": 0.5, "y0": 0.5})}
@@ -281,10 +286,9 @@ def test_cn_solve_matches_spsolve_oracle(paper_update, nx, ny, c, ic,
                                          ic_params):
     # each level from scratch with a direct solve in natural order and the
     # two-product right-hand side: a wrong permutation or a stale factor in
-    # the stepping path would show at the first step. On the square meshes
-    # each start steps on the orbits of the symmetries it keeps; on the
-    # others the polynomial and the mollifier at (0.5, 0.5) step on the
-    # orbits of J, the other two mollifiers on all unknowns.
+    # the stepping path would show at the first step. `cn_solve` steps every
+    # unknown whatever the start keeps; the test below holds the orbit
+    # stepping of a reference build to it.
     mesh = build_structured_mesh(1.0, 1.0, nx, ny)
     sys = FemSystem.build(mesh, c)
     u0 = interior_values(
@@ -304,6 +308,24 @@ def test_cn_solve_matches_spsolve_oracle(paper_update, nx, ny, c, ic,
     expect = np.array(levels)
     np.testing.assert_allclose(traj.snapshots, expect, rtol=0,
                                atol=1e-12 * np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("paper_update, nx, ny, c, ic, ic_params", [
+    pytest.param(update, *mesh, *start, id=f"{update}{tag}{suffix}")
+    for suffix, start in _ORACLE_STARTS.items()
+    for tag, mesh in _ORACLE_MESHES.items() for update in (False, True)])
+def test_orbit_levels_match_cn_solve(paper_update, nx, ny, c, ic, ic_params):
+    # the levels a reference build steps on the orbits of the group that
+    # `_symmetry_group` finds are those of the matched solve, which steps
+    # every unknown, to round-off
+    mesh = build_structured_mesh(1.0, 1.0, nx, ny)
+    sys = FemSystem.build(mesh, c)
+    u0 = interior_values(
+        WaveProblem(ic=ic, ic_params=ic_params).initial_condition(), mesh)
+    traj = cn_solve(sys, u0, 1.0 / 48, 48, paper_update)
+    _, levels = _orbit_levels(sys, u0, paper_update, 1.0 / 48, 48)
+    np.testing.assert_allclose(levels, traj.snapshots, rtol=0,
+                               atol=1e-12 * np.max(np.abs(traj.snapshots)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +361,9 @@ def _orbit_count(m):
 
 @pytest.mark.parametrize("nx, ny, L1, L2", [(4, 4, 1.0, 1.0), (5, 5, 1.0, 1.0),
                                             (5, 4, 1.3, 0.7), (4, 7, 1.0, 1.0),
-                                            (4, 4, 1.0, 2.0)])
+                                            (4, 4, 1.0, 2.0), (6, 3, 2.0, 1.0),
+                                            (3, 3, 0.7, 0.7), (2, 2, 1.0, 1.0),
+                                            (2, 2, 1.0, 2.0)])
 def test_reflection_commutes_with_mass_and_stiffness(nx, ny, L1, L2):
     # J, (x, y) -> (L1 - x, L2 - y), maps every mesh; on a square one the
     # transpose S, (x, y) -> (y, x), and the anti-transpose JS,
@@ -356,8 +380,17 @@ def test_reflection_commutes_with_mass_and_stiffness(nx, ny, L1, L2):
         for B in (sys.M, sys.K):
             np.testing.assert_array_equal(B.toarray()[g][:, g], B.toarray())
     # a constant start keeps every map that M and K commute with, and only
-    # those: on the 1 x 2 rectangle S and JS scale K's x and y couplings
-    group = fem._symmetry_group(sys, np.ones(n))
+    # those: on the 1 x 2 rectangle S and JS scale K's x and y couplings.
+    # The mesh rule reads no matrix; the sparse comparison is its oracle.
+    # With one unknown every group has one orbit, so there the two may
+    # differ in their bits alone.
+    group = fem._symmetry_group(mesh, np.ones(n))
+    commuting = sum(bit for bit, g in fem._maps(ny - 1, nx - 1)
+                    if not any((B[g][:, g] != B).nnz for B in (sys.M, sys.K)))
+    assert group == commuting or n == 1
+    for a, b in zip(fem._orbits(nx, ny, group),
+                    fem._orbits(nx, ny, commuting)):
+        np.testing.assert_array_equal(a, b)
     orbit, first = fem._orbits(nx, ny, group)
     assert len(first) == (_orbit_count(nx - 1) if len(maps) == 3
                           else (n + 1) // 2)
@@ -374,6 +407,20 @@ def _run(sys, u0, paper_update=False):
     return traj
 
 
+def _orbit_levels(sys, u0, paper_update=False, dt=0.05, Nt=4):
+    """(group, U^0 .. U^Nt): the levels `cn_steps` yields on the orbits of
+    the group `_symmetry_group` finds for u0, as a reference build steps
+    them, expanded to every unknown."""
+    mesh = sys.mesh
+    group, stats = fem._symmetry_group(mesh, u0), {}
+    steps = cn_steps(sys, u0, dt, stats, paper_update, group)
+    levels = np.array([next(steps) for _ in range(Nt + 1)])
+    steps.close()
+    assert stats["factorizations"] == 1
+    index = fem._node_orbits(mesh.nx, mesh.ny, group)[0]
+    return group, np.array([_unknowns(mesh, v[index]) for v in levels])
+
+
 # orbits at n = 8 and 9 (49 and 64 unknowns): the polynomial and the single
 # mode keep J, S and JS, the default mollifier at (0.3, 0.7) keeps JS only
 _ORBITS = {"polynomial": (16, 20), "single_mode": (16, 20),
@@ -386,10 +433,12 @@ def test_even_starts_factor_half_the_unknowns(n, ic, factored):
     mesh, sys = _system(n)
     u0 = interior_values(WaveProblem(ic=ic).initial_condition(), mesh)
     for paper_update in (False, True):
-        traj = _run(sys, u0, paper_update)
-        np.testing.assert_array_equal(traj.snapshots[0], u0)
+        group, levels = _orbit_levels(sys, u0, paper_update)
+        # level 0 is u0 at each orbit's smallest member
+        orbit, first = fem._orbits(n, n, group)
+        np.testing.assert_array_equal(levels[0], u0[first[orbit]])
         # every later level is copied from its orbits, so exactly symmetric
-        grids = traj.snapshots[1:].reshape(-1, n - 1, n - 1)
+        grids = levels[1:].reshape(-1, n - 1, n - 1)
         flip = grids[:, ::-1, ::-1].transpose(0, 2, 1)
         np.testing.assert_array_equal(grids, flip)          # JS
         if ic != "mollifier":
@@ -400,7 +449,8 @@ def test_even_starts_factor_half_the_unknowns(n, ic, factored):
 
 def test_asymmetric_system_steps_on_every_unknown(factored):
     # unknowns 0 and 1 are the nodes (h, h) and (2h, h); scaling their
-    # coupling breaks J, S and JS alike, each of which moves the pair
+    # coupling breaks J, S and JS alike, each of which moves the pair.
+    # `cn_solve` reads no symmetry, so it factors every unknown anyway.
     mesh, sys = _system(8)
     M = sys.M.tolil()
     M[0, 1] *= 1.01
@@ -419,7 +469,7 @@ def test_odd_part_past_round_off_takes_the_full_path(scale, quarter, factored):
     v = v + v[::-1, ::-1]
     u0 = (v + v.T).ravel()
     u0[1] += scale * fem._EVEN_ROUNDOFF * np.finfo(float).eps * np.max(u0)
-    _run(sys, u0)
+    _orbit_levels(sys, u0)
     assert [k for k, _ in factored] == [16 if quarter else u0.size]
 
 
@@ -445,10 +495,13 @@ def _kept_orbits(sys, u0):
 @pytest.mark.parametrize("start", ["polynomial", "single_mode", "mollifier",
                                    "skew", "odd 0.75", "odd 1.25",
                                    "transpose"])
-def test_orbits_match_every_kept_symmetry(n, start):
+def test_orbits_match_every_kept_symmetry(n, start, factored):
     # `_orbits` skips JS once J and S are kept; the orbits must be those of
-    # every map checked alone. "skew" and "odd" are the systems and starts
-    # of the two tests above; "transpose" keeps S and breaks J and JS
+    # every map checked alone. "odd" is the start of the test above;
+    # "transpose" keeps S and breaks J and JS. "skew" is the system of
+    # `test_asymmetric_system_steps_on_every_unknown`, which no map keeps:
+    # `cn_solve`, which reads no symmetry, factors all (n-1)^2 unknowns for
+    # it and for the three problem starts
     mesh, sys = _system(n)
     ic = start if start in ("single_mode", "mollifier") else "polynomial"
     u0 = interior_values(WaveProblem(ic=ic).initial_condition(), mesh)
@@ -456,8 +509,14 @@ def test_orbits_match_every_kept_symmetry(n, start):
         M = sys.M.tolil()
         M[0, 1] *= 1.01
         M[1, 0] *= 1.01
-        sys = FemSystem(M.tocsr(), sys.K, mesh, sys.c)
-    elif start.startswith("odd"):
+        skew = FemSystem(M.tocsr(), sys.K, mesh, sys.c)
+        for system, name in ((sys, "polynomial"), (sys, "single_mode"),
+                             (sys, "mollifier"), (skew, "polynomial")):
+            _run(system, interior_values(
+                WaveProblem(ic=name).initial_condition(), mesh))
+        assert [k for k, _ in factored] == [(n - 1) ** 2] * 4
+        return
+    if start.startswith("odd"):
         v = u0.reshape(n - 1, n - 1)
         v = v + v[::-1, ::-1]
         u0 = (v + v.T).ravel()
@@ -466,7 +525,7 @@ def test_orbits_match_every_kept_symmetry(n, start):
     elif start == "transpose":
         v = np.random.default_rng(n).random((n - 1, n - 1))
         u0 = (v + v.T).ravel()
-    orbit, first = fem._orbits(n, n, fem._symmetry_group(sys, u0))
+    orbit, first = fem._orbits(n, n, fem._symmetry_group(mesh, u0))
     np.testing.assert_array_equal(first[orbit], _kept_orbits(sys, u0))
 
 
@@ -476,8 +535,9 @@ def test_half_factor_holds_at_most_55_percent_of_the_fill(n, factored):
     # shrinks at least as much
     mesh, sys = _system(n)
     for ic in ("polynomial", "mollifier"):
-        _run(sys, interior_values(WaveProblem(ic=ic).initial_condition(), mesh))
-    _run(sys, np.random.default_rng(0).random(mesh.n_interior))
+        _orbit_levels(sys, interior_values(
+            WaveProblem(ic=ic).initial_condition(), mesh))
+    _orbit_levels(sys, np.random.default_rng(0).random(mesh.n_interior))
     (quarter, quarter_nnz), (half, half_nnz), (full, full_nnz) = factored
     m = n - 1
     assert (quarter, half, full) == (_orbit_count(m), (m * m + m) // 2,
@@ -494,7 +554,7 @@ def test_reflection_alone_cuts_the_middle_row_first(nx, ny, nnz, factored):
     # the whole grid's order instead gives 29,190 and 28,446
     mesh = build_structured_mesh(1.0, 1.0, nx, ny)
     sys = FemSystem.build(mesh, 1.0)
-    _run(sys, interior_values(WaveProblem().initial_condition(), mesh))
+    _orbit_levels(sys, interior_values(WaveProblem().initial_condition(), mesh))
     [(h, got)] = factored
     assert h == (mesh.n_interior + 1) // 2
     assert got <= nnz

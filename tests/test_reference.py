@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from wavebench import reference
-from wavebench.fem import FemSystem, _at_time, cn_steps, interior_values
+from wavebench.fem import (FemSystem, _at_time, _node_orbits, _symmetry_group,
+                           cn_steps, interior_values)
 from wavebench.mesh import build_structured_mesh
 from wavebench.metrics import sample_reference
 from wavebench.problem import WaveProblem
@@ -667,14 +668,19 @@ def test_dt_validation():
 # one stored value per orbit of the nodal grid
 
 def _stepped(problem, nx, ny, dt):
-    """`mesh.full_grid` of every level `cn_steps` yields for `problem`."""
+    """Nodal grids of `problem`'s u0 and of every later level `cn_steps`
+    yields on the orbits of the group `_symmetry_group` finds for it."""
     mesh = build_structured_mesh(problem.L1, problem.L2, nx, ny)
     sys = FemSystem.build(mesh, problem.c)
     u0 = interior_values(problem.initial_condition(), mesh)
-    steps = cn_steps(sys, u0, dt)
-    levels = [next(steps) for _ in range(round(problem.T / dt) + 1)]
+    group = _symmetry_group(mesh, u0)
+    steps = cn_steps(sys, u0, dt, group=group)
+    levels = np.array([next(steps) for _ in range(round(problem.T / dt) + 1)])
     steps.close()
-    return mesh.full_grid(np.array(levels))
+    grids = levels[:, _node_orbits(nx, ny, group)[0]].reshape(-1, ny + 1,
+                                                              nx + 1)
+    grids[0] = mesh.full_grid(u0)
+    return grids
 
 
 def _orbit_values_of(ref):
