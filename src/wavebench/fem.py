@@ -19,6 +19,7 @@ solve, `cn_solve`, steps every interior unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,17 +111,12 @@ class FemTrajectory:
     def field(self):
         """Space-time evaluator (x, y, t) -> values.
 
-        P1 interpolation in space on the trajectory's own mesh, linear
-        interpolation in time between stored snapshots.
+        P1 interpolation in space on the trajectory's own mesh, located once
+        per point set, linear in time between stored snapshots.
         """
-        grids = self.full_grids()
-        m = self.mesh
-
-        def evaluate(x, y, t):
-            slice_ = _at_time(grids, t, self.dt, self.dt * self.Nt)
-            return p1_interpolate(slice_, m.L1, m.L2, x, y)
-
-        return evaluate
+        grids, m = self.full_grids(), self.mesh
+        return lambda x, y, t: p1_interpolate(
+            _at_time(grids, t, self.dt, self.dt * self.Nt), m.L1, m.L2, x, y)
 
 
 def _at_time(levels, t: float, dt: float, T: float) -> np.ndarray:
@@ -140,21 +136,30 @@ def _at_time(levels, t: float, dt: float, T: float) -> np.ndarray:
     return (1.0 - theta) * levels[k] + theta * levels[k + 1]
 
 
-def p1_interpolate(grid: np.ndarray, L1: float, L2: float, x, y) -> np.ndarray:
-    """Evaluate a nodal field on the single-diagonal triangulation.
+@lru_cache(maxsize=1)
+def _p1_weights(shape: tuple, L1: float, L2: float, xb: bytes, yb: bytes):
+    """Read-only (3, n) flat `shape`-grid indices and P1 weights of v00, v10
+    (r <= s) or v01, and v11 at the points with coordinate bytes xb, yb."""
+    ix, iy, s, r = _locate_cells(shape, L1, L2, *map(np.frombuffer, (xb, yb)))
+    lower, v00 = r <= s, iy * shape[1] + ix
+    idx = np.stack([v00, v00 + np.where(lower, 1, shape[1]), v00 + shape[1] + 1])
+    w = np.where(lower, [1.0 - s, s - r, r], [1.0 - r, r - s, s])
+    idx.flags.writeable = w.flags.writeable = False
+    return idx, w
 
-    `grid` holds nodal values with shape (ny+1, nx+1). Within each cell the
-    interpolant is linear on each of the two triangles formed by the
-    lower-left to upper-right diagonal.
-    """
-    ix, iy, s, r = _locate_cells(grid.shape, L1, L2, x, y)
-    v00 = grid[iy, ix]
-    v10 = grid[iy, ix + 1]
-    v01 = grid[iy + 1, ix]
-    v11 = grid[iy + 1, ix + 1]
-    lower = v00 * (1.0 - s) + v10 * (s - r) + v11 * r
-    upper = v00 * (1.0 - r) + v01 * (r - s) + v11 * s
-    return np.where(r <= s, lower, upper)
+
+def _p1_sum(grid: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The nodal field `grid` at the points of (idx, w) (`_p1_weights`)."""
+    v = grid.ravel()[idx]
+    return v[0] * w[0] + v[1] * w[1] + v[2] * w[2]
+
+
+def p1_interpolate(grid: np.ndarray, L1: float, L2: float, x, y) -> np.ndarray:
+    """P1 interpolant of the nodal values `grid` (ny+1, nx+1) on the single-diagonal
+    triangulation at the broadcast points (x, y), located once per point set."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    idx, w = _p1_weights(grid.shape, L1, L2, x.tobytes(), y.tobytes())
+    return _p1_sum(grid, idx, w).reshape(x.shape)
 
 
 def cn_steps(sys: FemSystem, u0: np.ndarray, dt: float,

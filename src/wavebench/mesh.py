@@ -87,8 +87,6 @@ def _locate_cells(shape, L1: float, L2: float, x, y):
     """
     ny = shape[0] - 1
     nx = shape[1] - 1
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     # written so that NaN fails the check too
     if not (np.all((x >= -1e-12) & (x <= L1 * (1 + 1e-12)))
             and np.all((y >= -1e-12) & (y <= L2 * (1 + 1e-12)))):

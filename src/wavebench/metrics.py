@@ -105,8 +105,9 @@ def compute_error_report(solution, ref, mesh: Mesh, Nt_eval: int = 200,
                          ref_samples=None) -> ErrorReport:
     """Full error report of a space-time field against the reference.
 
-    `solution` is a callable (x, y, t) -> values, called once per
-    evaluation time with all quadrature points, and `ref` a
+    `solution` (x, y, t) -> values is called once per evaluation time
+    with the same quadrature point arrays, for which `predict` and
+    `p1_interpolate` build their tables once; `ref` is a
     ReferenceSolution. `ref_samples` is `sample_reference(ref, mesh,
     Nt_eval)`, read here when not given; pass it to score several solvers
     on `mesh` from one read. At each of the Nt_eval + 1 evaluation times

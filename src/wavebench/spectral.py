@@ -32,7 +32,7 @@ import mmap
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -366,33 +366,13 @@ def select_lambda_gcv(fit: RidgeSVD, grid=None):
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Fitted surrogate: basis, weights, chosen ridge parameter, diagnostics."""
+    """Fitted surrogate (basis, weights, lam, edof, diagnostics); no point tables."""
 
     basis: SpectralBasis
     weights: np.ndarray
     lam: float
     edof: float
     diagnostics: dict = field(default_factory=dict)
-    _tables: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    def sine_tables(self, x: np.ndarray, y: np.ndarray):
-        """Sine tables at the points (x, y), reused while their values repeat.
-
-        Returns (sx, inv, sy): sx is the x table at the distinct x values
-        only, and point p takes its row inv[p]; sy is the y table. The last
-        point set is kept with private copies of x and y, so arrays changed
-        in place get fresh tables. Points outside the closed rectangle, NaN
-        included, are rejected when their tables are formed; a repeat of the
-        kept set was checked then.
-        """
-        last = self._tables
-        if last and np.array_equal(last[0], x) and np.array_equal(last[1], y):
-            return last[2:]
-        b = self.basis
-        xu, inv = np.unique(x, return_inverse=True)
-        tables = (_sine_table(xu, b.N, b.L1), inv, _sine_table(y, b.N, b.L2))
-        object.__setattr__(self, "_tables", (x.copy(), y.copy()) + tables)
-        return tables
 
     def to_json(self) -> str:
         doc = {
@@ -445,24 +425,40 @@ def fit_spectral_model(problem, N: int, m: int, seed: int = 0) -> SpectralModel:
     return SpectralModel(basis, weights, lam, edof, diagnostics)
 
 
+@lru_cache(maxsize=1)
+def _point_tables(N: int, L1: float, L2: float, xb: bytes, yb: bytes):
+    """Read-only sine tables (sx, inv, sy) of the points with coordinate bytes
+    xb, yb: point p takes row inv[p] of sx, the x table at the distinct x
+    values. One point set is kept, for all models; a bad point raises first."""
+    xu, inv = np.unique(np.frombuffer(xb), return_inverse=True)
+    sx, table = _sine_table(xu, N, L1), _sine_table(np.frombuffer(yb), N, L2)
+    # kept across models: mapped, since a kept heap block pins the heap below it
+    sy = np.ndarray(table.shape, buffer=mmap.mmap(-1, table.nbytes + 8))
+    sy[...] = table
+    sx.flags.writeable = inv.flags.writeable = sy.flags.writeable = False
+    return sx, inv, sy
+
+
+def _sine_sum(basis: SpectralBasis, weights: np.ndarray, tables, t: float):
+    """The surrogate of `weights` at time t at the points of `tables`."""
+    sx, inv, sy = tables
+    Wt = weights.reshape(basis.N, basis.N) * np.cos(basis.omegas * t)
+    return np.einsum("pk,pk->p", (sx @ Wt)[inv], sy)
+
+
 def predict(model: SpectralModel, x, y, t: float):
     """Evaluate the surrogate at points (x, y) and time t.
 
     x and y broadcast against each other and the result takes their shape;
-    a scalar pair gives a float. The time-t weights W_t are applied to the
-    sine table of the distinct x values, and each point gathers its row of
-    that product: the n = 12 quadrature points have 79 distinct x values
-    among 1,152, so a call costs 79 N^2 multiply-adds instead of 1,152 N^2.
-    Repeated calls at equal point arrays (one per evaluation time in an
-    error report) reuse the model's tables of the previous call.
+    a scalar pair gives a float. The sine tables are built once per point
+    set (`_point_tables`), and `_sine_sum` applies the time-t weights: at
+    the 1,152 quadrature points of n = 12, with 79 distinct x values, a
+    call costs 79 N^2 multiply-adds instead of 1,152 N^2.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("time must be finite and nonnegative")
     b = model.basis
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
-    shape = x.shape
-    sx, inv, sy = model.sine_tables(x.ravel(), y.ravel())
-    Wt = model.weights.reshape(b.N, b.N) * np.cos(b.omegas * t)
-    out = np.einsum("pk,pk->p", (sx @ Wt)[inv], sy)
-    return out.reshape(shape) if shape else float(out[0])
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    tables = _point_tables(b.N, b.L1, b.L2, x.tobytes(), y.tobytes())
+    out = _sine_sum(b, model.weights, tables, t)
+    return out.reshape(x.shape) if x.shape else float(out[0])

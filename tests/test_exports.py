@@ -59,3 +59,39 @@ def test_reference_steps_through_the_module_attribute(monkeypatch):
     ref = reference.generate_reference(WaveProblem(), 6, 6, 1.0 / 12)
     assert calls == [25]
     assert ref.levels.shape == (13, 16)
+
+
+def test_reports_call_the_traced_evaluators_once_per_time(monkeypatch):
+    # the tracer counts one `predict` call per evaluation time in the
+    # surrogate's report and one `p1_interpolate` call in the CN report,
+    # and tells the two reports apart by which of them a report calls
+    from wavebench import fem, metrics, reference, runner, spectral
+    config = runner.ExperimentConfig(N=4, m=120, ref_nx=16, ref_ny=16,
+                                     Nt_eval=10)
+    ref = reference.generate_reference(config.problem(), 16, 16,
+                                       config.dt_ref, None)
+    calls, reports = [], []
+
+    def count(module, name):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(
+            name) or inner(*a, **k))
+    count(spectral, "predict")
+    count(fem, "p1_interpolate")
+    count(fem, "_locate_cells")
+    report = metrics.compute_error_report
+
+    def per_report(*a, **k):
+        start = len(calls)
+        out = report(*a, **k)
+        reports.append(calls[start:])
+        return out
+    monkeypatch.setattr(metrics, "compute_error_report", per_report)
+    fem._p1_weights.cache_clear()
+    runner.run_benchmark(config, ref=ref, write_outputs=False)
+    times = config.Nt_eval + 1
+    # the CN report locates its points once, at its first call
+    assert reports == [["predict"] * times,
+                       ["p1_interpolate", "_locate_cells"]
+                       + ["p1_interpolate"] * (times - 1)]
+    assert len(calls) == 2 * times + 1

@@ -9,6 +9,7 @@ from wavebench.mesh import build_structured_mesh
 from wavebench.fem import (FemSystem, interior_values, cn_steps, cn_solve,
                            discrete_energy, p1_interpolate, _mass_solve,
                            _nested_dissection)
+from wavebench.mesh import _locate_cells
 from wavebench.problem import WaveProblem, single_mode_solution
 
 
@@ -174,6 +175,80 @@ def test_p1_interpolate_rejects_non_finite_points(x, y):
     with pytest.raises(ValueError, match="outside the domain"):
         p1_interpolate(np.zeros((3, 3)), 1.0, 1.0, np.array([0.2, x]),
                        np.array([0.2, y]))
+
+
+def _p1_formula(grid, L1, L2, x, y):
+    """P1 interpolation written out per triangle: the oracle for the
+    cached node indices and weights."""
+    ix, iy, s, r = _locate_cells(grid.shape, L1, L2, np.asarray(x, float),
+                                 np.asarray(y, float))
+    v00, v10 = grid[iy, ix], grid[iy, ix + 1]
+    v01, v11 = grid[iy + 1, ix], grid[iy + 1, ix + 1]
+    lower = v00 * (1.0 - s) + v10 * (s - r) + v11 * r
+    upper = v00 * (1.0 - r) + v01 * (r - s) + v11 * s
+    return np.where(r <= s, lower, upper)
+
+
+@pytest.mark.parametrize("shape, L1, L2", [((9, 9), 1.0, 1.0),
+                                           ((9, 13), 1.5, 0.8)])
+def test_p1_interpolate_matches_the_formula_bit_for_bit(shape, L1, L2):
+    rng = np.random.default_rng(21)
+    grid = rng.standard_normal(shape)
+    nx, ny = shape[1] - 1, shape[0] - 1
+    # dyadic local coordinates, so that r == s holds exactly on the diagonals
+    f = rng.integers(0, 64, 100) / 64
+    x = np.r_[rng.random(400) * L1, (rng.integers(0, nx, 100) + f) * L1 / nx]
+    y = np.r_[rng.random(400) * L2, (rng.integers(0, ny, 100) + f) * L2 / ny]
+    _, _, s, r = _locate_cells(shape, L1, L2, x, y)
+    if L1 == 1.0:
+        assert np.all(r[400:] == s[400:])
+    assert np.any(r < s) and np.any(r > s)
+    np.testing.assert_array_equal(p1_interpolate(grid, L1, L2, x, y),
+                                  _p1_formula(grid, L1, L2, x, y))
+
+
+def test_p1_interpolate_locates_each_point_set_once(monkeypatch):
+    calls, locate = [], fem._locate_cells
+    monkeypatch.setattr(fem, "_locate_cells",
+                        lambda *a: calls.append(a[:3]) or locate(*a))
+    fem._p1_weights.cache_clear()
+    rng = np.random.default_rng(5)
+    grid, x, y = rng.standard_normal((5, 7)), rng.random(30), rng.random(30)
+    first = p1_interpolate(grid, 1.0, 1.0, x, y)
+    # equal values hit, for another field on a grid of the same shape too
+    np.testing.assert_array_equal(
+        p1_interpolate(2.0 * grid, 1.0, 1.0, x.copy(), y.copy()), 2.0 * first)
+    idx, w = fem._p1_weights(grid.shape, 1.0, 1.0, x.tobytes(), y.tobytes())
+    assert len(calls) == 1
+    assert not idx.flags.writeable and not w.flags.writeable
+    for shape, L1, L2 in (((6, 7), 1.0, 1.0), ((5, 7), 2.0, 1.0),
+                          ((5, 7), 1.0, 2.0)):
+        p1_interpolate(np.zeros(shape), L1, L2, x, y)
+    assert calls[1:] == [((6, 7), 1.0, 1.0), ((5, 7), 2.0, 1.0),
+                         ((5, 7), 1.0, 2.0)]
+    x[::2] = 0.5                    # the same arrays, changed in place
+    np.testing.assert_array_equal(p1_interpolate(grid, 1.0, 1.0, x, y),
+                                  _p1_formula(grid, 1.0, 1.0, x, y))
+    assert len(calls) == 5
+    kept, y[3] = y[3], np.nan       # located again, so validated again
+    with pytest.raises(ValueError, match="outside the domain"):
+        p1_interpolate(grid, 1.0, 1.0, x, y)
+    y[3] = kept                     # a rejected point set left the slot as it was
+    p1_interpolate(grid, 1.0, 1.0, x, y)
+    assert len(calls) == 6
+
+
+def test_p1_interpolate_keeps_the_broadcast_shape():
+    grid = np.random.default_rng(2).standard_normal((4, 6))
+    X, Y = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0.1, 0.9, 4))
+    G = p1_interpolate(grid, 1.0, 1.0, X, Y)
+    assert G.shape == (4, 5)
+    np.testing.assert_array_equal(G, _p1_formula(grid, 1.0, 1.0, X, Y))
+    point = p1_interpolate(grid, 1.0, 1.0, 0.3, 0.4)
+    assert point.shape == () and point == _p1_formula(grid, 1.0, 1.0, 0.3, 0.4)
+    row = p1_interpolate(grid, 1.0, 1.0, X[0], 0.1)     # a scalar y broadcasts
+    assert row.shape == (5,)
+    np.testing.assert_array_equal(row, G[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import logging
 import os
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -508,6 +510,26 @@ def test_cli_reference_shows_build_progress_on_stderr(tmp_path, capsys):
         assert cli.main(argv + [str(tmp_path / "b")]) == 0
     assert "level 32 of 32" in err.getvalue()
     assert len(logging.getLogger("wavebench").handlers) == 1
+
+
+def test_result_keeps_no_table_of_the_quadrature_points(small_result):
+    # evaluation tables belong to the shared point-set slots, not to the
+    # model or trajectory a kept result holds
+    _, result = small_result
+    points = len(metrics.mesh_quadrature(result.trajectory.mesh)[1])
+    seen, stack, arrays = set(), [result], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        stack.extend(gc.get_referents(obj))
+    assert any(a is result.model.weights for a in arrays)
+    assert any(a is result.trajectory.snapshots for a in arrays)
+    assert [a.shape for a in arrays if points in a.shape] == []
 
 
 def test_report_records_the_matched_solve_counters(small_result):

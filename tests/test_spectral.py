@@ -475,30 +475,52 @@ def test_predict_grid_matches_pointwise():
     np.testing.assert_allclose(G, pointwise, atol=1e-13)
 
 
-def test_predict_reuses_tables_only_for_equal_points():
+def test_predict_shares_one_table_slot_per_point_set():
     prob = WaveProblem(ic="polynomial")
     model = fit_spectral_model(prob, N=5, m=200, seed=0)
+    twin = fit_spectral_model(prob, N=5, m=200, seed=1)     # the same basis
     rng = np.random.default_rng(12)
     x, y = rng.random(50), rng.random(50)
+    misses = lambda: spectral._point_tables.cache_info().misses
+    slot = lambda: spectral._point_tables(5, 1.0, 1.0, x.tobytes(), y.tobytes())
 
-    def oracle(t):
+    def oracle(model, t):
         Wt = model.weights.reshape(5, 5) * np.cos(model.basis.omegas * t)
         return np.einsum("pj,jk,pk->p", _sine_table(x, 5, 1.0), Wt,
                          _sine_table(y, 5, 1.0))
 
     first = predict(model, x, y, 0.3)
-    sx, inv, sy = model.sine_tables(x, y)
+    built = misses()
+    sx, inv, sy = slot()
+    assert misses() == built                # predict filled the slot
     np.testing.assert_array_equal(sx[inv], _sine_table(x, 5, 1.0))
     np.testing.assert_array_equal(sy, _sine_table(y, 5, 1.0))
+    assert not any(a.flags.writeable for a in (sx, inv, sy))
+    with pytest.raises(ValueError, match="read-only"):
+        sy[0, 0] = 1.0
+    # equal values, and another model of the same basis, reuse the tables
     np.testing.assert_array_equal(predict(model, x.copy(), y.copy(), 0.3), first)
-    assert model.sine_tables(x.copy(), y.copy())[0] is sx   # tables reused
-    np.testing.assert_allclose(predict(model, x, y, 0.8), oracle(0.8),
+    np.testing.assert_allclose(predict(twin, x, y, 0.8), oracle(twin, 0.8),
                                atol=1e-15)
+    assert misses() == built and slot()[0] is sx
+    predict(model, rng.random(7), rng.random(7), 0.3)    # scattered points
+    np.testing.assert_allclose(predict(model, x, y, 0.8), oracle(model, 0.8),
+                               atol=1e-15)
+    assert misses() == built + 2 and slot()[0] is not sx
+    for N, L1, L2 in ((6, 1.0, 1.0), (5, 2.0, 1.0), (5, 1.0, 2.0)):
+        other = SpectralModel(SpectralBasis(N, L1, L2), np.ones(N * N), 0.0, 0.0)
+        predict(other, x, y, 0.8)
+    assert misses() == built + 5            # another N, L1 or L2 misses
     x[:] = rng.random(50)             # the same arrays, changed in place
     y[::2] = 0.5
-    np.testing.assert_allclose(predict(model, x, y, 0.8), oracle(0.8),
+    np.testing.assert_allclose(predict(model, x, y, 0.8), oracle(model, 0.8),
                                atol=1e-15)
-    assert model.sine_tables(x, y)[0] is not sx
+    assert misses() == built + 6
+    hits = spectral._point_tables.cache_info().hits
+    with pytest.raises(ValueError, match="outside the closed rectangle"):
+        predict(model, np.r_[x[:3], np.nan], y[:4], 0.8)
+    slot()                  # a rejected point set leaves the slot as it was
+    assert spectral._point_tables.cache_info().hits == hits + 1
 
 
 def test_predict_matches_the_per_point_product_bit_for_bit():
