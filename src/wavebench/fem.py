@@ -13,7 +13,8 @@ order, reused every step, so a step is one product with M and one solve;
 the Taylor start solves with M by conjugate gradients. See `cn_steps` for
 the update behind the published tables.
 Only a reference build steps on symmetry orbits (`cn_steps`); the matched
-solve, `cn_solve`, steps every interior unknown.
+solve, `cn_solve`, steps every interior unknown. Unknowns go in; a level is
+the nodal grid `cn_steps` yields, whose interior only `discrete_energy` reads.
 """
 
 from __future__ import annotations
@@ -96,27 +97,24 @@ def _stencil(mesh: Mesh, centre, x_nb, y_nb, diag_nb) -> sp.csr_matrix:
 
 @dataclass
 class FemTrajectory:
-    """Interior-unknown snapshots U^0 .. U^Nt on a uniform time grid."""
+    """Nodal levels U^0 .. U^Nt, dt apart, as `cn_steps` yields them."""
 
-    snapshots: np.ndarray        # (Nt + 1, n_interior)
+    levels: np.ndarray           # (Nt + 1, (ny + 1) (nx + 1)), row-major
     dt: float
     Nt: int
     mesh: Mesh
     stats: dict = field(default_factory=dict)
 
-    def full_grids(self) -> np.ndarray:
-        """Nodal values on the full (Nt+1, ny+1, nx+1) grid, boundary zeros."""
-        return self.mesh.full_grid(self.snapshots)
-
     def field(self):
         """Space-time evaluator (x, y, t) -> values.
 
         P1 interpolation in space on the trajectory's own mesh, located once
-        per point set, linear in time between stored snapshots.
+        per point set, linear in time between stored levels.
         """
-        grids, m = self.full_grids(), self.mesh
+        m = self.mesh
         return lambda x, y, t: p1_interpolate(
-            _at_time(grids, t, self.dt, self.dt * self.Nt), m.L1, m.L2, x, y)
+            _at_time(self.levels, t, self.dt, self.dt * self.Nt).reshape(
+                m.ny + 1, -1), m.L1, m.L2, x, y)
 
 
 def _at_time(levels, t: float, dt: float, T: float) -> np.ndarray:
@@ -343,43 +341,45 @@ def _mass_solve(M: sp.csr_matrix, b: np.ndarray, stats: dict) -> np.ndarray:
     return x
 
 
-def cn_solve(sys: FemSystem, u0_nodal: np.ndarray, dt: float, Nt: int,
+def cn_solve(sys: FemSystem, u0: np.ndarray, dt: float, Nt: int,
              paper_update: bool = False) -> FemTrajectory:
-    """Advance the semi-discrete wave system on all (nx-1)(ny-1) unknowns,
-    which its `stats` count; see `cn_steps` for the update."""
+    """Advance the semi-discrete wave system from the unknowns u0 on all
+    (nx-1)(ny-1) unknowns, which its `stats` count, and keep the nodal levels
+    `cn_steps` yields, as yielded; see `cn_steps` for the update."""
     if not 0 < dt < np.inf:                         # NaN fails it too
         raise ValueError(f"time step must be positive and finite, got {dt}")
     if Nt < 1:
         raise ValueError("need at least one time step")
-    u0 = np.asarray(u0_nodal, dtype=float)
-    n = sys.M.shape[0]
+    u0 = np.asarray(u0, dtype=float)
+    n, mesh = sys.M.shape[0], sys.mesh
     if u0.shape != (n,):
         raise ValueError(f"initial vector has shape {u0.shape}, expected ({n},)")
 
     stats = {}
-    snaps = np.empty((Nt + 1, n))
+    levels = np.empty((Nt + 1, (mesh.ny + 1) * (mesh.nx + 1)))
     steps = cn_steps(sys, u0, dt, stats, paper_update)
     for k in range(Nt + 1):
-        level = next(steps).reshape(sys.mesh.ny + 1, -1)
-        snaps[k] = level[1:-1, 1:-1].ravel()
+        levels[k] = next(steps)
     steps.close()
 
-    if not np.all(np.isfinite(snaps)):
+    if not np.all(np.isfinite(levels)):
         raise ArithmeticError("non-finite values in trajectory")
-    return FemTrajectory(snaps, dt, Nt, sys.mesh, stats)
+    return FemTrajectory(levels, dt, Nt, mesh, stats)
 
 
-def discrete_energy(sys: FemSystem, Un: np.ndarray, Un1: np.ndarray, dt: float) -> float:
-    """Conserved discrete energy of two consecutive snapshots.
+def discrete_energy(sys: FemSystem, level_n: np.ndarray, level_n1: np.ndarray, dt: float) -> float:
+    """Conserved discrete energy of two consecutive nodal levels, as
+    `cn_steps` yields them, from their interior blocks U^n and U^{n+1}:
 
     E = (1/(2 dt^2)) (U^{n+1}-U^n)^T M (U^{n+1}-U^n)
         + (c^2/4) ((U^{n+1})^T K U^{n+1} + (U^n)^T K U^n).
     """
-    Un = np.asarray(Un, dtype=float)
-    Un1 = np.asarray(Un1, dtype=float)
-    n = sys.M.shape[0]
-    if Un.shape != (n,) or Un1.shape != (n,):
-        raise ValueError("snapshot dimension mismatch")
+    m = sys.mesh
+    Un, Un1 = (np.asarray(v, dtype=float) for v in (level_n, level_n1))
+    if not Un.shape == Un1.shape == ((m.ny + 1) * (m.nx + 1),):
+        raise ValueError(f"levels of shapes {Un.shape} and {Un1.shape} are "
+                         f"not nodal levels of the {m.nx} x {m.ny} mesh")
+    Un, Un1 = (v.reshape(m.ny + 1, -1)[1:-1, 1:-1].ravel() for v in (Un, Un1))
     d = Un1 - Un
     kinetic = d @ (sys.M @ d) / (2.0 * dt**2)
     potential = (sys.c**2 / 4.0) * (Un1 @ (sys.K @ Un1) + Un @ (sys.K @ Un))

@@ -43,14 +43,6 @@ class Mesh:
         X, Y = np.meshgrid(xs[1:-1], ys[1:-1])
         return X.ravel(), Y.ravel()
 
-    def full_grid(self, u) -> np.ndarray:
-        """Nodal grids (..., ny+1, nx+1) of unknowns (...), boundary zero."""
-        u = np.asarray(u)
-        lead = u.shape[:-1]
-        grid = np.zeros(lead + (self.ny + 1, self.nx + 1))
-        grid[..., 1:-1, 1:-1] = u.reshape(lead + (self.ny - 1, self.nx - 1))
-        return grid
-
     def triangles(self) -> np.ndarray:
         """Vertex coordinates (2 nx ny, 3, 2) of every triangle, CCW.
 

@@ -94,8 +94,9 @@ class ExperimentConfig:
         if self.N < 2:
             raise ValueError("N must be at least 2: one mode's effective "
                              "DoF is below 1, which no CN mesh matches")
-        if self.m < 1:
-            raise ValueError("m must be positive")
+        if self.m < 2:
+            raise ValueError("m must be at least 2: a one-sample fit's "
+                             "effective DoF is below 1, which no CN mesh matches")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
 
@@ -281,8 +282,8 @@ def emit_snapshots(config: ExperimentConfig, model, traj, ref) -> list:
 
     Per time: the reference on its native grid, the FEM solution
     interpolated to the reference grid, and the surrogate on a 50 x 50
-    grid. Each snapshot is written as CSV (x, y, value). Boundary rows and
-    columns are exact zeros.
+    grid. Each snapshot is written as CSV (x, y, value). Every field
+    already returns +0.0 on the boundary rows and columns (README).
     """
     out = Path(config.output_dir) / "snapshots"
     out.mkdir(parents=True, exist_ok=True)
@@ -299,13 +300,8 @@ def emit_snapshots(config: ExperimentConfig, model, traj, ref) -> list:
                  cn_field(ref_X.ravel(), ref_Y.ravel(), t)),
                 ("bepgp", ep_X, ep_Y,
                  spectral.predict(model, ep_X.ravel(), ep_Y.ravel(), t))):
-            grid = np.array(values, dtype=float).reshape(X.shape)
-            grid[0, :] = 0.0
-            grid[-1, :] = 0.0
-            grid[:, 0] = 0.0
-            grid[:, -1] = 0.0
             path = out / f"{config.ic}_{name}_{_time_label(t)}.csv"
-            rows = np.column_stack([X.ravel(), Y.ravel(), grid.ravel()])
+            rows = np.column_stack([X.ravel(), Y.ravel(), np.ravel(values)])
             np.savetxt(path, rows, fmt="%.12g", delimiter=",",
                        header="x,y,value", comments="")
             written.append(path)

@@ -259,9 +259,10 @@ def _system(n, L=1.0, c=1.0):
     return m, FemSystem.build(m, c)
 
 
-def _unknowns(mesh, level):
-    """U^n: the interior block of a nodal level `cn_steps` yields."""
-    return level.reshape(mesh.ny + 1, -1)[1:-1, 1:-1].ravel()
+def _unknowns(mesh, levels):
+    """U^n: the interior block of each nodal level `cn_steps` yields."""
+    grids = np.reshape(levels, np.shape(levels)[:-1] + (mesh.ny + 1, -1))
+    return grids[..., 1:-1, 1:-1].reshape(np.shape(levels)[:-1] + (-1,))
 
 
 def test_energy_conserved_default_scheme():
@@ -270,11 +271,11 @@ def test_energy_conserved_default_scheme():
                          mesh)
     dt = 1.0 / 16
     gen = cn_steps(sys, u0, dt)
-    prev = _unknowns(mesh, next(gen))
-    curr = _unknowns(mesh, next(gen))
+    prev = next(gen)
+    curr = next(gen)
     E0 = discrete_energy(sys, prev, curr, dt)
     for _ in range(1000):
-        prev, curr = curr, _unknowns(mesh, next(gen))
+        prev, curr = curr, next(gen)
         E = discrete_energy(sys, prev, curr, dt)
         assert abs(E - E0) <= 1e-10 * abs(E0)
     gen.close()
@@ -286,11 +287,11 @@ def test_dissipative_scheme_decays_energy():
                          mesh)
     dt = 1.0 / 12
     gen = cn_steps(sys, u0, dt, paper_update=True)
-    prev = _unknowns(mesh, next(gen))
-    curr = _unknowns(mesh, next(gen))
+    prev = next(gen)
+    curr = next(gen)
     energies = [discrete_energy(sys, prev, curr, dt)]
     for _ in range(60):
-        prev, curr = curr, _unknowns(mesh, next(gen))
+        prev, curr = curr, next(gen)
         energies.append(discrete_energy(sys, prev, curr, dt))
     gen.close()
     diffs = np.diff(energies)
@@ -307,8 +308,8 @@ def test_unconditional_stability():
         # the paper update's hold start avoids the large Taylor kick that
         # dt >> h would inject
         traj = cn_solve(sys, u0, dt, 200, paper_update=True)
-        assert np.all(np.isfinite(traj.snapshots))
-        assert np.max(np.abs(traj.snapshots)) < 10 * np.max(np.abs(u0))
+        assert np.all(np.isfinite(traj.levels))
+        assert np.max(np.abs(traj.levels)) < 10 * np.max(np.abs(u0))
 
 
 def test_factorize_once():
@@ -381,7 +382,7 @@ def test_cn_solve_matches_spsolve_oracle(paper_update, nx, ny, c, ic,
     for _ in range(Nt - 1):
         levels.append(spsolve(A, B @ levels[-1] - C @ levels[-2]))
     expect = np.array(levels)
-    np.testing.assert_allclose(traj.snapshots, expect, rtol=0,
+    np.testing.assert_allclose(_unknowns(mesh, traj.levels), expect, rtol=0,
                                atol=1e-12 * np.max(np.abs(expect)))
 
 
@@ -399,8 +400,8 @@ def test_orbit_levels_match_cn_solve(paper_update, nx, ny, c, ic, ic_params):
         WaveProblem(ic=ic, ic_params=ic_params).initial_condition(), mesh)
     traj = cn_solve(sys, u0, 1.0 / 48, 48, paper_update)
     _, levels = _orbit_levels(sys, u0, paper_update, 1.0 / 48, 48)
-    np.testing.assert_allclose(levels, traj.snapshots, rtol=0,
-                               atol=1e-12 * np.max(np.abs(traj.snapshots)))
+    np.testing.assert_allclose(levels, _unknowns(mesh, traj.levels), rtol=0,
+                               atol=1e-12 * np.max(np.abs(traj.levels)))
 
 
 # ---------------------------------------------------------------------------
@@ -655,36 +656,51 @@ def test_second_order_convergence_single_mode():
         u0 = interior_values(prob.initial_condition(), mesh)
         traj = cn_solve(sys, u0, prob.T / n, n)
         exact = single_mode_solution(*mesh.interior_nodes(), prob.T)
-        errs.append(np.sqrt(np.mean((traj.snapshots[-1] - exact) ** 2)))
+        errs.append(np.sqrt(np.mean((_unknowns(mesh, traj.levels[-1])
+                                     - exact) ** 2)))
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
     assert np.all(orders > 1.7) and np.all(orders < 2.3)
 
 
-def test_trajectory_field_matches_snapshots():
-    mesh, sys = _system(6)
-    u0 = interior_values(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
+def test_trajectory_field_matches_levels():
+    # dyadic nodes and times, so P1 weights each node by exactly 1 or 0
+    mesh = build_structured_mesh(2.0, 1.0, 8, 4)
+    sys = FemSystem.build(mesh, 1.0)
+    u0 = interior_values(lambda x, y: np.sin(np.pi * x / 2) * np.sin(np.pi * y),
                          mesh)
-    traj = cn_solve(sys, u0, 0.1, 10)
+    traj = cn_solve(sys, u0, 0.125, 8)
     f = traj.field()
-    x, y = mesh.interior_nodes()
-    np.testing.assert_allclose(f(x, y, 0.5), traj.snapshots[5], atol=1e-13)
+    X, Y = (a.ravel() for a in np.meshgrid(*mesh.axes()))
+    for k in range(9):
+        np.testing.assert_array_equal(f(X, Y, k * 0.125), traj.levels[k])
     # halfway between stored levels: linear blend
-    mid = 0.5 * (traj.snapshots[5] + traj.snapshots[6])
-    np.testing.assert_allclose(f(x, y, 0.55), mid, atol=1e-13)
+    mid = 0.5 * (traj.levels[4] + traj.levels[5])
+    np.testing.assert_allclose(f(X, Y, 0.5625), mid, rtol=0, atol=1e-13)
+    # the evaluator reads the levels the trajectory holds
+    traj.levels[3] = 7.0
+    assert np.all(f(X, Y, 0.375) == 7.0)
     for t in (np.nan, np.inf, 1.5):
         with pytest.raises(ValueError, match="outside"):
-            f(x, y, t)
+            f(X, Y, t)
 
 
-def test_full_grids_boundary_zero():
-    mesh, sys = _system(5)
-    u0 = interior_values(lambda x, y: x * (1 - x) * y * (1 - y), mesh)
-    traj = cn_solve(sys, u0, 0.1, 5)
-    grids = traj.full_grids()
-    assert np.all(grids[:, 0, :] == 0)
-    assert np.all(grids[:, -1, :] == 0)
-    assert np.all(grids[:, :, 0] == 0)
-    assert np.all(grids[:, :, -1] == 0)
+@pytest.mark.parametrize("paper_update", [False, True])
+def test_cn_solve_keeps_the_levels_cn_steps_yields(paper_update):
+    # a non-square mesh with a start that keeps no symmetry: every level
+    # as yielded, bit for bit, with +0.0 on the boundary
+    mesh = build_structured_mesh(1.0, 1.0, 9, 6)
+    sys = FemSystem.build(mesh, 1.0)
+    u0 = interior_values(WaveProblem(ic="mollifier").initial_condition(), mesh)
+    traj = cn_solve(sys, u0, 1.0 / 16, 16, paper_update)
+    steps = cn_steps(sys, u0, 1.0 / 16, paper_update=paper_update)
+    yielded = np.array([next(steps) for _ in range(17)])
+    steps.close()
+    assert traj.levels.shape == (17, 10 * 7)
+    np.testing.assert_array_equal(traj.levels, yielded)
+    grids = traj.levels.reshape(17, 7, 10)
+    for edge in (grids[:, 0], grids[:, -1], grids[:, :, 0], grids[:, :, -1]):
+        assert np.all(edge == 0) and not np.any(np.signbit(edge))
+    np.testing.assert_array_equal(_unknowns(mesh, traj.levels[0]), u0)
 
 
 @pytest.mark.parametrize("nx, ny, n", [(1, 1, 0), (2, 1, 0), (2, 2, 1)])
@@ -696,11 +712,11 @@ def test_tiny_grids_step(nx, ny, n):
     u0 = np.ones(n)
     for paper_update in (False, True):
         traj = cn_solve(sys, u0, 0.1, 4, paper_update)
-        assert traj.snapshots.shape == (5, n)
+        assert _unknowns(mesh, traj.levels).shape == (5, n)
         assert traj.stats["factorizations"] == 1
-        assert traj.full_grids().shape == (5, ny + 1, nx + 1)
+        assert traj.levels.shape == (5, (ny + 1) * (nx + 1))
         if n:
-            assert traj.snapshots[-1, 0] < 0.5   # the single mode swings
+            assert traj.levels[-1, 4] < 0.5      # the single mode swings
 
 
 def test_cn_solve_input_validation():
@@ -730,12 +746,28 @@ def test_non_finite_start_fails_before_any_step(paper_update, bad, monkeypatch):
 
 
 def test_discrete_energy_value():
-    # single interior unknown (n = 2): M = h^2/2 = 1/8, K = 4
+    # single interior unknown (n = 2): M = h^2/2 = 1/8, K = 4, at node 4
     mesh, sys = _system(2)
     assert sys.M.shape == (1, 1)
-    Un = np.array([1.0])
-    Un1 = np.array([2.0])
+    Un, Un1 = np.zeros(9), np.zeros(9)
+    Un[4], Un1[4] = 1.0, 2.0
     dt = 0.5
     kinetic = 0.125 * 1.0 / (2 * dt**2)
     potential = 0.25 * 4.0 * (4.0 + 1.0)
     assert discrete_energy(sys, Un, Un1, dt) == pytest.approx(kinetic + potential)
+
+
+def test_discrete_energy_takes_nodal_levels_only():
+    # an interior vector, a level of another mesh or a level shaped as a
+    # grid raises one error before any product with M or K (None here)
+    mesh = build_structured_mesh(1.0, 1.0, 4, 4)
+    bare = FemSystem(None, None, mesh, 1.0)
+    other = build_structured_mesh(1.0, 1.0, 5, 4)
+    level = np.zeros(25)
+    for bad in (np.zeros(mesh.n_interior),
+                np.zeros((other.ny + 1) * (other.nx + 1)), level.reshape(5, 5)):
+        for pair in ((bad, level), (level, bad), (bad, bad)):
+            with pytest.raises(ValueError,
+                               match="not nodal levels of the 4 x 4 mesh"):
+                discrete_energy(bare, *pair, 0.1)
+    assert discrete_energy(FemSystem.build(mesh, 1.0), level, level, 0.1) == 0.0

@@ -24,7 +24,7 @@ def test_counts_general():
     assert m.triangles().shape == (2 * 4 * 5, 3, 2)
     assert m.n_interior == 3 * 4
     assert m.interior_nodes()[0].shape == (3 * 4,)
-    assert m.full_grid(np.ones(12)).shape == (6, 5)
+    assert np.meshgrid(*m.axes())[0].shape == (6, 5)     # nodal grid
 
 
 def test_node_ordering_row_major_y_outer():
@@ -36,11 +36,17 @@ def test_node_ordering_row_major_y_outer():
     x, y = m.interior_nodes()
     expect = np.array([[xv, yv] for yv in ys[1:-1] for xv in xs[1:-1]])
     np.testing.assert_array_equal(np.column_stack([x, y]), expect)
-    # full_grid puts unknown p back at its node, boundary zero
-    grid = m.full_grid(np.arange(1.0, m.n_interior + 1))
-    np.testing.assert_array_equal(grid[1:-1, 1:-1].ravel(),
-                                  np.arange(1.0, m.n_interior + 1))
-    assert grid.sum() == np.arange(1.0, m.n_interior + 1).sum()
+    # unknown p = (j-1)(nx-1) + (i-1) is node (i, j), which is p's place
+    # in the row-major interior block of the nodal grid
+    for mesh in (m, build_structured_mesh(2.0, 1.5, 5, 4)):
+        xs, ys = mesh.axes()
+        x, y = mesh.interior_nodes()
+        p = np.arange(mesh.n_interior)
+        np.testing.assert_array_equal(x, xs[p % (mesh.nx - 1) + 1])
+        np.testing.assert_array_equal(y, ys[p // (mesh.nx - 1) + 1])
+        X, Y = np.meshgrid(xs, ys)
+        np.testing.assert_array_equal(x, X[1:-1, 1:-1].ravel())
+        np.testing.assert_array_equal(y, Y[1:-1, 1:-1].ravel())
 
 
 def test_areas_positive_and_sum_to_domain():
@@ -85,13 +91,13 @@ def test_interior_map():
     x, y = m.interior_nodes()
     assert x.size == m.n_interior == 4
     assert np.all((0 < x) & (x < 1) & (0 < y) & (y < 1))
-    grid = m.full_grid(np.ones(m.n_interior))
-    assert np.all(grid[[0, -1], :] == 0) and np.all(grid[:, [0, -1]] == 0)
-    # a stack of vectors maps to a stack of grids
-    assert m.full_grid(np.ones((5, 4))).shape == (5, 4, 4)
+    # no unknown on a boundary node of the (ny+1, nx+1) nodal grid
+    X, Y = np.meshgrid(*m.axes())
+    assert X.shape == (4, 4)
+    assert not np.any(np.isin(x, X[:, [0, -1]]) | np.isin(y, Y[[0, -1], :]))
     # no interior nodes on a single row of cells
-    assert build_structured_mesh(1.0, 1.0, 2, 1).full_grid(
-        np.zeros((3, 0))).shape == (3, 2, 3)
+    thin = build_structured_mesh(1.0, 1.0, 2, 1)
+    assert thin.n_interior == 0 and thin.interior_nodes()[0].shape == (0,)
 
 
 def test_conforming_edges():

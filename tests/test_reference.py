@@ -679,7 +679,8 @@ def _stepped(problem, nx, ny, dt):
     steps.close()
     grids = levels[:, _node_orbits(nx, ny, group)[0]].reshape(-1, ny + 1,
                                                               nx + 1)
-    grids[0] = mesh.full_grid(u0)
+    grids[0] = 0.0
+    grids[0, 1:-1, 1:-1] = u0.reshape(ny - 1, nx - 1)
     return grids
 
 

@@ -94,7 +94,10 @@ def test_config_rejects_non_integer_counts(overrides, message):
     ({"ref_ny": 1}, "ref_nx and ref_ny must be at least 2"),
     # a one-mode fit has effective DoF below 1, which no CN mesh matches
     ({"N": 1}, "N must be at least 2"),
-], ids=["L1", "c", "ic", "ref_nx", "ref_ny", "ref_nx_1", "ref_ny_1", "N_1"])
+    # so has a one-sample fit, s^2 / (s^2 + lambda) < 1
+    ({"m": 1}, "m must be at least 2"),
+], ids=["L1", "c", "ic", "ref_nx", "ref_ny", "ref_nx_1", "ref_ny_1", "N_1",
+        "m_1"])
 def test_config_rejects_bad_problem_and_grid(overrides, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**overrides)
@@ -470,6 +473,9 @@ def test_cli_requires_subcommand(capsys):
     (["benchmark", "--config", "{tmp}/config.json"],
      '{"N": 1, "m": 50, "ref_nx": 16, "ref_ny": 16, "Nt_eval": 10}',
      "N must be at least 2"),
+    (["benchmark", "--config", "{tmp}/config.json"],
+     '{"N": 4, "m": 1, "ref_nx": 16, "ref_ny": 16, "Nt_eval": 10}',
+     "m must be at least 2"),
     (["fit", "--config", "{tmp}/config.json"],
      '{"ic": "mollifier", "ic_params": {"x0": 0.002, "y0": 0.505, "R": 0.004}}',
      "support disk"),
@@ -486,7 +492,7 @@ def test_cli_requires_subcommand(capsys):
         "int_ic_params", "string_T", "bool_N", "string_dt_ref", "match_T_nan",
         "match_T_inf", "nan_dt_ref", "custom_ic", "int_output_dir",
         "null_output_dir", "one_cell_reference", "one_mode_fit",
-        "one_mode_benchmark", "mollifier_crossing_edge",
+        "one_mode_benchmark", "one_sample_benchmark", "mollifier_crossing_edge",
         "mollifier_nan_centre", "mollifier_inf_centre",
         "mollifier_centre_outside"])
 def test_cli_bad_input_is_a_usage_error(argv, config, message, tmp_path, capsys):
@@ -528,7 +534,7 @@ def test_result_keeps_no_table_of_the_quadrature_points(small_result):
             arrays.append(obj)
         stack.extend(gc.get_referents(obj))
     assert any(a is result.model.weights for a in arrays)
-    assert any(a is result.trajectory.snapshots for a in arrays)
+    assert any(a is result.trajectory.levels for a in arrays)
     assert [a.shape for a in arrays if points in a.shape] == []
 
 
